@@ -12,10 +12,13 @@ sweeps, DMM ensembles:
 * :func:`fingerprint` / :func:`cache_key` -- the *content address*: a
   workload is identified by the same fingerprint the
   :class:`~repro.core.resilience.Checkpointer` already computes (kind,
-  physics parameters, RNG spawn state) plus the library code version,
-  canonically JSON-serialized and hashed.  Two runs share a cache entry
-  exactly when that fingerprint says they would produce bit-identical
-  results.
+  physics parameters, RNG spawn state) plus a digest of the source code
+  that computes that kind (:func:`code_version`), canonically
+  JSON-serialized and hashed.  Two runs share a cache entry exactly
+  when that fingerprint says they would produce bit-identical results.
+  Bulky payloads enter the fingerprint as content hashes: arrays by
+  their raw bytes (:func:`array_fingerprint`), anything else through
+  one canonical JSON pass (:func:`digest`).
 * :class:`ResultCache` -- an in-process LRU front (recently used
   entries answered from memory) over an atomic on-disk store (one
   JSON or NPZ file per entry, written via rename, so concurrent runs
@@ -23,7 +26,10 @@ sweeps, DMM ensembles:
   fingerprint document; a lookup whose key matches but whose
   fingerprint does not (tampering, hash collision, stale directory)
   refuses reuse with a :class:`~repro.core.exceptions.CacheError`
-  naming the offending path and both fingerprints.
+  naming the offending path and both fingerprints.  An entry that
+  cannot be read at all (truncated, garbled) is renamed aside to
+  ``<name>.corrupt`` and answered as a miss, so the caller recomputes
+  and stores a fresh entry.
 * :class:`CacheSpec` -- the call-site bundle (cache, kind, meta,
   encode/decode) that :meth:`repro.core.parallel.ParallelMap.map`
   consumes for chunk-level caching: a cached chunk skips dispatch
@@ -41,6 +47,10 @@ contract (held by ``tests/core/test_cache.py``'s hypothesis suite):
   worker count -- so a run at ``workers=4`` hits the entries a
   ``workers=1`` run stored.
 
+Fingerprints are lazy: call sites hand :func:`spec_for` their meta as
+a zero-argument callable, which runs only once a cache has resolved, so
+an uncached call hashes nothing.
+
 Two rules keep the contract honest.  First, workloads whose RNG
 argument cannot be fingerprinted deterministically (``rng=None`` means
 fresh OS entropy) are *never* cached -- :func:`spec_for` returns None
@@ -57,10 +67,14 @@ validation re-executes on the next run, it is not replayed.
 Telemetry: ``cache.hits`` / ``cache.misses`` / ``cache.stores`` /
 ``cache.bytes`` (bytes written to disk) / ``cache.evictions`` (LRU
 drops from the memory tier) / ``cache.disk_evictions`` (LRU drops from
-the disk tier when a byte budget is set).  Enable a cache process-wide
-with the ``REPRO_CACHE_DIR`` environment variable, scoped with
-:func:`use_cache`, or per call with the ``cache=`` keyword the kernel
-entry points accept; the CLI exposes ``--cache-dir`` / ``--no-cache`` /
+the disk tier when a byte budget is set) / ``cache.corrupt`` (unreadable
+entries quarantined), plus the spans ``cache.fingerprint`` (building a
+workload's fingerprint), ``cache.lookup`` (its ``tier`` attribute says
+which tier answered: ``memory``, ``disk``, or ``miss``) and
+``cache.store``.  Enable a cache process-wide with the
+``REPRO_CACHE_DIR`` environment variable, scoped with :func:`use_cache`,
+or per call with the ``cache=`` keyword the kernel entry points accept;
+the CLI exposes ``--cache-dir`` / ``--no-cache`` /
 ``--cache-disk-bytes``.  The disk tier is unbounded by default (CLI
 compatibility); give it a byte budget with ``max_disk_bytes=`` or the
 ``REPRO_CACHE_DISK_BYTES`` environment variable and the
@@ -74,6 +88,7 @@ import copy
 import hashlib
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -109,27 +124,89 @@ _MAX_SHARD_DEPTH = 8
 DEFAULT_MAX_MEMORY_ENTRIES = 256
 
 
-def code_version():
-    """The library version stamped into every fingerprint.
+#: The ``repro`` package directory: the code every cache key covers.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Cache kinds by name prefix, and the package subdirectories besides
+#: ``core/`` whose source computes them: the kind's paradigm, plus
+#: ``serve/`` for the service's kinds, whose result documents it builds.
+#: Kinds matching no prefix are keyed on the whole package.
+_KIND_SOURCES = (("dmm-", ("memcomputing",)),
+                 ("quantum-", ("quantum",)),
+                 ("shor-", ("quantum",)),
+                 ("oscillator-", ("oscillators",)),
+                 ("serve.solve", ("memcomputing", "serve")),
+                 ("serve.factor", ("quantum", "serve")),
+                 ("serve.distance", ("oscillators", "serve")),
+                 ("serve.detect", ("oscillators", "serve")))
+
+#: Source digests by subdirectory tuple, computed once per process.
+_code_digests = {}
+
+
+def _source_dirs(kind):
+    """The package subdirectories whose source decides ``kind``'s results
+    (``("",)``, the whole package, for a kind with no paradigm)."""
+    for prefix, subdirs in _KIND_SOURCES:
+        if str(kind).startswith(prefix):
+            return ("core",) + subdirs
+    return ("",)
+
+
+def _source_digest(subdirs):
+    """SHA-256 over the sorted ``.py`` files under ``subdirs``."""
+    from repro import __version__
+
+    paths = []
+    for subdir in subdirs:
+        for dirpath, dirnames, filenames in os.walk(
+                os.path.join(_PACKAGE_DIR, subdir)):
+            dirnames[:] = [name for name in dirnames
+                           if name != "__pycache__"]
+            paths.extend(os.path.join(dirpath, name)
+                         for name in filenames if name.endswith(".py"))
+    hasher = hashlib.sha256(__version__.encode("utf-8"))
+    for path in sorted(paths):
+        relative = os.path.relpath(path, _PACKAGE_DIR).replace(os.sep, "/")
+        hasher.update(b"\0" + relative.encode("utf-8") + b"\0")
+        with open(path, "rb") as handle:
+            hasher.update(handle.read())
+    return hasher.hexdigest()
+
+
+def code_version(kind=None):
+    """Digest of the source code that computes cache kind ``kind``.
 
     A cache entry written by one version of the kernels must not be
     served to another -- a bugfix in an integrator legitimately changes
-    results -- so the version participates in the content address.
+    results -- so the code participates in the content address: a
+    SHA-256 of the sorted source files of the kind's paradigm
+    subpackage plus ``core/`` (editing the DMM dynamics misses ``dmm-*``
+    entries but keeps ``quantum-*`` ones), or of the whole package for
+    a kind with no paradigm (and for ``kind=None``).  Computed once per
+    process.
     """
-    from repro import __version__
-
-    return __version__
+    subdirs = _source_dirs(kind)
+    version = _code_digests.get(subdirs)
+    if version is None:
+        version = _code_digests[subdirs] = _source_digest(subdirs)
+    return version
 
 
 def digest(value):
     """Short stable hash of any JSON-able description.
 
     Used to keep bulky workload descriptions (a CNF formula's clause
-    list, an image's pixels, a long pair list) out of the fingerprint
-    *document* while still letting them decide the content address.
+    list, a DIMACS text) out of the fingerprint *document* while still
+    letting them decide the content address.  One canonical
+    ``json.dumps`` pass; a value JSON cannot encode hashes its ``repr``
+    instead (the :func:`~repro.core.resilience.jsonable` fallback).
+    Arrays belong in :func:`array_fingerprint`, which hashes raw bytes.
     """
-    payload = json.dumps(jsonable(value), sort_keys=True,
-                         separators=(",", ":"))
+    try:
+        payload = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError):
+        payload = json.dumps(repr(value))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -158,13 +235,14 @@ def fingerprint(kind, meta):
     """The canonical workload-fingerprint document for ``(kind, meta)``.
 
     The same shape the :class:`~repro.core.resilience.Checkpointer`
-    records (kind + JSON-able meta), extended with the library code
-    version.  Hash it with :func:`cache_key` to get the content address.
+    records (kind + JSON-able meta), extended with the digest of the
+    code that computes ``kind`` (:func:`code_version`).  Hash it with
+    :func:`cache_key` to get the content address.
     """
     return {"format": CACHE_FORMAT,
             "kind": str(kind),
             "meta": jsonable(meta if meta is not None else {}),
-            "code": code_version()}
+            "code": code_version(kind)}
 
 
 def cache_key(doc, index=None):
@@ -218,8 +296,11 @@ class ResultCache:
     so a caller mutating a returned result cannot corrupt the cache.
     Disk entries are one file per key -- ``<key>.json`` for JSON-able
     (possibly ``encode``-d) values, ``<key>.npz`` for raw numpy arrays
-    -- always written to a scratch name and renamed, so a concurrent
-    reader sees either the complete entry or none.
+    -- always written to a scratch name, flushed to disk, and renamed,
+    so a concurrent reader sees either the complete entry or none.  An
+    entry that cannot be read back (truncated or garbled by a crash or
+    a bad disk) is renamed to ``<name>.corrupt`` (``cache.corrupt``)
+    and answered as a miss.
     """
 
     def __init__(self, cache_dir=None, max_memory_entries=None,
@@ -296,56 +377,71 @@ class ResultCache:
         ``doc`` is the expected fingerprint document for ``key``; a disk
         entry whose stored fingerprint disagrees raises
         :class:`CacheError` naming the path and both fingerprints
-        instead of silently serving a wrong result.
+        instead of silently serving a wrong result.  An unreadable disk
+        entry is quarantined and counts as a miss.
         """
         registry = telemetry.get_registry()
-        if key in self._memory:
-            self._memory.move_to_end(key)
-            self.hits += 1
-            if registry.enabled:
-                registry.counter("cache.hits").inc()
-            return True, copy.deepcopy(self._memory[key])
-        value, found = self._disk_lookup(key, doc, decode)
-        if found:
-            self._remember(key, value)
+        with telemetry.span("cache.lookup") as lookup_span:
+            if key in self._memory:
+                self._memory.move_to_end(key)
+                tier, value = "memory", self._memory[key]
+            else:
+                value, found = self._disk_lookup(key, doc, decode)
+                tier = "disk" if found else "miss"
+                if found:
+                    self._remember(key, value)
+            lookup_span.set_attr("tier", tier)
+            if tier == "miss":
+                self.misses += 1
+                if registry.enabled:
+                    registry.counter("cache.misses").inc()
+                return False, None
             self.hits += 1
             if registry.enabled:
                 registry.counter("cache.hits").inc()
             return True, copy.deepcopy(value)
-        self.misses += 1
-        if registry.enabled:
-            registry.counter("cache.misses").inc()
-        return False, None
 
     def _disk_lookup(self, key, doc, decode):
         json_path = self._find_entry(key, ".json")
-        npz_path = self._find_entry(key, ".npz")
-        if json_path is not None and os.path.exists(json_path):
+        if json_path is not None:
             try:
                 with open(json_path) as handle:
                     document = json.load(handle)
-            except (OSError, ValueError) as error:
-                raise CacheError("cannot read cache entry %r: %s"
-                                 % (json_path, error))
-            self._check_fingerprint(json_path, document.get("fingerprint"),
-                                    doc)
+                stored, value = document["fingerprint"], document["value"]
+            except (OSError, ValueError, KeyError, TypeError):
+                self._quarantine(json_path)
+                return None, False
+            self._check_fingerprint(json_path, stored, doc)
             self._touch(json_path)
-            value = document.get("value")
             if decode is not None:
                 value = decode(value)
             return value, True
-        if npz_path is not None and os.path.exists(npz_path):
+        npz_path = self._find_entry(key, ".npz")
+        if npz_path is not None:
             try:
-                with np.load(npz_path, allow_pickle=False) as data:
+                with open(npz_path, "rb") as handle, \
+                        np.load(handle, allow_pickle=False) as data:
                     stored = json.loads(str(data["fingerprint"]))
                     value = np.array(data["value"])
-            except (OSError, ValueError, KeyError) as error:
-                raise CacheError("cannot read cache entry %r: %s"
-                                 % (npz_path, error))
+            except (OSError, ValueError, KeyError, EOFError,
+                    zipfile.BadZipFile):
+                self._quarantine(npz_path)
+                return None, False
             self._check_fingerprint(npz_path, stored, doc)
             self._touch(npz_path)
             return value, True
         return None, False
+
+    @staticmethod
+    def _quarantine(path):
+        """Move an unreadable entry aside so the next store replaces it."""
+        try:
+            os.replace(path, path + ".corrupt")
+        except OSError:  # pragma: no cover -- concurrently moved or evicted
+            return
+        registry = telemetry.get_registry()
+        if registry.enabled:
+            registry.counter("cache.corrupt").inc()
 
     @staticmethod
     def _touch(path):
@@ -373,6 +469,10 @@ class ResultCache:
         everything else is ``encode``-d (default identity) into the JSON
         entry alongside its fingerprint document.
         """
+        with telemetry.span("cache.store"):
+            self._store(key, doc, value, encode)
+
+    def _store(self, key, doc, value, encode):
         registry = telemetry.get_registry()
         self._remember(key, copy.deepcopy(value))
         self.stores += 1
@@ -390,6 +490,7 @@ class ResultCache:
             with open(scratch, "wb") as handle:
                 np.savez(handle, value=value,
                          fingerprint=np.asarray(json.dumps(jsonable(doc))))
+                _sync(handle)
             os.replace(scratch, npz_path)
             written = os.path.getsize(npz_path)
             stored_path = npz_path
@@ -407,6 +508,7 @@ class ResultCache:
             with open(scratch, "w") as handle:
                 handle.write(payload)
                 handle.write("\n")
+                _sync(handle)
             os.replace(scratch, json_path)
             written = len(payload) + 1
             stored_path = json_path
@@ -510,6 +612,13 @@ class ResultCache:
         return ("ResultCache(dir=%r, memory=%d/%d, hits=%d, misses=%d)"
                 % (self.cache_dir, len(self._memory),
                    self.max_memory_entries, self.hits, self.misses))
+
+
+def _sync(handle):
+    """Flush ``handle`` to the disk before it is renamed into place, so
+    a crash cannot leave a committed name over unwritten data."""
+    handle.flush()
+    os.fsync(handle.fileno())
 
 
 class CacheSpec:
@@ -683,11 +792,19 @@ def _meta_is_deterministic(meta):
 def spec_for(cache, kind, meta, encode=None, decode=None):
     """A :class:`CacheSpec` for this workload, or None when caching is off.
 
-    Resolves ``cache`` (:func:`resolve_cache`) and refuses to build a
-    spec for non-deterministic workloads (an ``rng`` meta entry whose
-    fingerprint is None).
+    ``meta`` is a zero-argument callable returning the workload's
+    fingerprint meta.  It runs only once ``cache`` has resolved
+    (:func:`resolve_cache`) to a live cache -- inside a
+    ``cache.fingerprint`` span -- so an uncached call hashes nothing.
+    Call sites whose meta fingerprints an RNG must call this before
+    spawning child generators from it.  Non-deterministic workloads (an
+    ``rng`` meta entry whose fingerprint is None) get no spec.
     """
     cache = resolve_cache(cache)
-    if cache is None or not _meta_is_deterministic(meta):
+    if cache is None:
         return None
-    return cache.spec(kind, meta, encode=encode, decode=decode)
+    with telemetry.span("cache.fingerprint", kind=str(kind)):
+        meta = meta()
+        if not _meta_is_deterministic(meta):
+            return None
+        return cache.spec(kind, meta, encode=encode, decode=decode)

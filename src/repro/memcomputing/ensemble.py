@@ -267,22 +267,26 @@ def _decode_steps(values):
     return np.asarray(values, dtype=float)
 
 
-def _ensemble_meta(formula, batch, dt, max_steps, check_every, params,
-                   x_l_max, rng, sizes=None):
+def _ensemble_meta(batch, dt, max_steps, check_every, params, x_l_max,
+                   rng, sizes=None):
     """Workload fingerprint meta shared by the checkpoint and the cache.
 
-    The cache additionally hashes the formula *content* (a checkpoint
-    file is private to one run; a cache directory is shared across
-    runs, so the key must distinguish different formulas with identical
-    solver settings).
+    The cache additionally hashes the formula *content*
+    (:func:`_with_formula`): a checkpoint file is private to one run; a
+    cache directory is shared across runs, so the key must distinguish
+    different formulas with identical solver settings.
     """
     meta = {"batch": int(batch), "dt": dt, "max_steps": int(max_steps),
             "check_every": int(check_every), "params": params,
-            "x_l_max": x_l_max, "rng": resilience.rng_fingerprint(rng),
-            "formula": result_cache.formula_fingerprint(formula)}
+            "x_l_max": x_l_max, "rng": resilience.rng_fingerprint(rng)}
     if sizes is not None:
         meta["sizes"] = sizes
     return meta
+
+
+def _with_formula(meta, formula):
+    """Cache meta: ``meta`` plus the formula's content hash."""
+    return dict(meta, formula=result_cache.formula_fingerprint(formula))
 
 
 def solve_ensemble(formula, batch=32, dt=0.08, max_steps=100_000,
@@ -344,8 +348,9 @@ def solve_ensemble(formula, batch=32, dt=0.08, max_steps=100_000,
         if result_cache.cacheable_seed(rng):
             spec = result_cache.spec_for(
                 cache, "dmm-ensemble",
-                _ensemble_meta(formula, batch, dt, max_steps, check_every,
-                               params, x_l_max, rng))
+                lambda: _with_formula(
+                    _ensemble_meta(batch, dt, max_steps, check_every,
+                                   params, x_l_max, rng), formula))
         if spec is not None:
             hit, solve_steps = spec.lookup()
             if hit:
@@ -365,18 +370,17 @@ def solve_ensemble(formula, batch=32, dt=0.08, max_steps=100_000,
         raise MemcomputingError("batch must be positive")
     sizes = parallel.chunk_sizes(batch, chunk_size)
     # Fingerprint the RNG argument before spawn_rngs advances it.
-    meta = _ensemble_meta(formula, batch, dt, max_steps, check_every,
-                          params, x_l_max, rng, sizes=sizes)
+    meta = _ensemble_meta(batch, dt, max_steps, check_every, params,
+                          x_l_max, rng, sizes=sizes)
     ckpt = None
     if checkpoint is not None or resume_from is not None:
-        ckpt_meta = {key: value for key, value in meta.items()
-                     if key != "formula"}
         ckpt = resilience.Checkpointer(
             checkpoint if checkpoint is not None else resume_from,
-            "dmm-ensemble", meta=ckpt_meta, encode=_encode_steps,
+            "dmm-ensemble", meta=meta, encode=_encode_steps,
             decode=_decode_steps, every=checkpoint_every,
             resume_from=resume_from)
-    spec = result_cache.spec_for(cache, "dmm-ensemble-chunk", meta,
+    spec = result_cache.spec_for(cache, "dmm-ensemble-chunk",
+                                 lambda: _with_formula(meta, formula),
                                  encode=_encode_steps,
                                  decode=_decode_steps)
     rngs = spawn_rngs(rng, len(sizes))

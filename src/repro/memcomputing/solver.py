@@ -314,11 +314,11 @@ def solve_portfolio(formula, attempts=4, rng=None, workers=None,
             "dmm-portfolio", meta=meta, encode=_encode_member,
             decode=_decode_member, every=checkpoint_every,
             resume_from=resume_from)
-    cache_meta = dict(meta,
-                      formula=result_cache.formula_fingerprint(formula))
-    spec = result_cache.spec_for(cache, "dmm-portfolio", cache_meta,
-                                 encode=_encode_member,
-                                 decode=_decode_member)
+    spec = result_cache.spec_for(
+        cache, "dmm-portfolio",
+        lambda: dict(meta,
+                     formula=result_cache.formula_fingerprint(formula)),
+        encode=_encode_member, decode=_decode_member)
     rngs = spawn_rngs(rng, attempts)
     tasks = [(formula, solver_kwargs, member_rng) for member_rng in rngs]
     engine = parallel.ParallelMap(workers=workers, timeout=timeout)

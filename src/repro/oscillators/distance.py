@@ -59,6 +59,25 @@ def _encode_measures(values):
     return [float(value) for value in values]
 
 
+def _pair_array(pairs):
+    """``pairs`` as one ``(n, 2)`` float64 array, or raise.
+
+    Accepts any ``(n, 2)`` array (any memory order or numeric dtype) or
+    a sequence of two-element rows; empty input is ``(0, 2)``.
+    """
+    try:
+        array = np.asarray(pairs, dtype=np.float64)
+    except (TypeError, ValueError) as error:
+        raise OscillatorError("pairs must be (a, b) intensity pairs: %s"
+                              % error)
+    if array.size == 0 and array.ndim == 1:
+        return array.reshape(0, 2)
+    if array.ndim != 2 or array.shape[1] != 2:
+        raise OscillatorError("pairs must have shape (n, 2), got %s"
+                              % (array.shape,))
+    return array
+
+
 class OscillatorDistanceUnit:
     """Analog |a - b| comparator built from a coupled oscillator pair.
 
@@ -215,7 +234,9 @@ class OscillatorDistanceUnit:
                       resume_from=None, checkpoint_every=1, cache=None):
         """Measures for a sequence of ``(a, b)`` intensity pairs, in order.
 
-        The image-scale fan-out path: pairs are split into blocks
+        ``pairs`` is an ``(n, 2)`` array or a sequence of ``(a, b)``
+        rows; any other shape raises :class:`OscillatorError`.  The
+        image-scale fan-out path: pairs are split into blocks
         (chunking depends only on the pair count and ``chunk_size``) and
         scored on the parallel engine's workers; each worker's telemetry
         (``oscillator.distance.evals`` etc.) merges into the active
@@ -231,14 +252,16 @@ class OscillatorDistanceUnit:
         (the primitive has no RNG, so every workload is cacheable):
         whole-call on the serial path, per block on the chunked path.
         """
-        pairs = [(float(a), float(b)) for a, b in pairs]
+        pair_array = _pair_array(pairs)
         workers = parallel.resolve_workers(workers)
         resilient = (timeout is not None or retry is not None
                      or checkpoint is not None or resume_from is not None)
         config = self.config()
-        cache_meta = {"pairs": result_cache.digest(pairs),
-                      "count": len(pairs),
-                      "config": resilience.jsonable(config)}
+
+        def cache_meta():
+            return {"pairs": result_cache.array_fingerprint(pair_array),
+                    "count": len(pair_array), "config": config}
+
         if workers == 1 and chunk_size is None and not resilient:
             spec = result_cache.spec_for(
                 cache, "oscillator-distance", cache_meta,
@@ -248,18 +271,15 @@ class OscillatorDistanceUnit:
                 if hit:
                     return measures
             start = time.perf_counter()
-            pair_array = np.asarray(pairs, dtype=float).reshape(-1, 2)
-            measures = [float(value) for value in
-                        self.measure_batch(pair_array[:, 0],
-                                           pair_array[:, 1])]
+            measures = self.measure_batch(pair_array[:, 0],
+                                          pair_array[:, 1]).tolist()
             profiling.record_throughput("oscillator.distance.pairs",
-                                        len(pairs),
+                                        len(pair_array),
                                         time.perf_counter() - start)
             if spec is not None:
                 spec.store(measures)
             return measures
-        pair_array = np.asarray(pairs, dtype=float).reshape(-1, 2)
-        sizes = parallel.chunk_sizes(len(pairs), chunk_size)
+        sizes = parallel.chunk_sizes(len(pair_array), chunk_size)
         chunks = []
         offset = 0
         for size in sizes:
@@ -267,24 +287,28 @@ class OscillatorDistanceUnit:
             offset += size
         ckpt = None
         if checkpoint is not None or resume_from is not None:
-            meta = {"pairs": len(pairs), "sizes": sizes,
-                    "config": resilience.jsonable(config)}
+            meta = {"pairs": len(pair_array), "sizes": sizes,
+                    "config": config}
             ckpt = resilience.Checkpointer(
                 checkpoint if checkpoint is not None else resume_from,
                 "oscillator-distance", meta=meta, encode=_encode_measures,
                 every=checkpoint_every, resume_from=resume_from)
         spec = result_cache.spec_for(
             cache, "oscillator-distance-chunk",
-            dict(cache_meta, sizes=sizes), encode=_encode_measures)
+            lambda: dict(cache_meta(), sizes=sizes),
+            encode=_encode_measures)
         start = time.perf_counter()
         blocks = parallel.ParallelMap(workers=workers, timeout=timeout).map(
             _measure_pairs_chunk, [(config, chunk) for chunk in chunks],
             retry=retry, validate=_block_is_finite, checkpoint=ckpt,
             cache=spec)
         profiling.record_throughput("oscillator.distance.pairs",
-                                    len(pairs),
+                                    len(pair_array),
                                     time.perf_counter() - start)
-        return [float(measure) for block in blocks for measure in block]
+        if not blocks:
+            return []
+        return np.concatenate(
+            [np.asarray(block, dtype=float) for block in blocks]).tolist()
 
     def measure_threshold(self, intensity_threshold):
         """Measure level corresponding to an intensity difference threshold.

@@ -25,7 +25,6 @@ import numpy as np
 
 from ...core import parallel, telemetry
 from ...core import cache as result_cache
-from ...core.resilience import jsonable
 from ..distance import OscillatorDistanceUnit
 from .bresenham import circle_intensities, interior_pixels
 
@@ -137,7 +136,7 @@ class OscillatorFastDetector:
     def _cache_meta(self, image, sizes=None):
         """Cache fingerprint: detector knobs + image content hash."""
         meta = {"threshold": self.threshold, "n": self.n,
-                "config": jsonable(self.distance_unit.config()),
+                "config": self.distance_unit.config(),
                 "image": result_cache.array_fingerprint(np.asarray(image))}
         if sizes is not None:
             meta["sizes"] = sizes
@@ -166,7 +165,8 @@ class OscillatorFastDetector:
         with telemetry.span("oscillator.fast.detect") as detect_span:
             if workers == 1 and chunk_size is None and not resilient:
                 spec = result_cache.spec_for(
-                    cache, "oscillator-fast", self._cache_meta(image),
+                    cache, "oscillator-fast",
+                    lambda: self._cache_meta(image),
                     encode=_encode_block, decode=_decode_block)
                 hit = False
                 if spec is not None:
@@ -187,8 +187,8 @@ class OscillatorFastDetector:
                                              chunk_size)
                 spec = result_cache.spec_for(
                     cache, "oscillator-fast-chunk",
-                    self._cache_meta(meta_image,
-                                     sizes=[len(c) for c in chunks]),
+                    lambda: self._cache_meta(
+                        meta_image, sizes=[len(c) for c in chunks]),
                     encode=_encode_block, decode=_decode_block)
                 unit_config = self.distance_unit.config()
                 tasks = [(self.threshold, self.n, unit_config, image,

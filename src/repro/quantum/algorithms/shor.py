@@ -183,7 +183,7 @@ def find_order(a, modulus, rng=None, max_attempts=10, runner=None,
                 "shor-order", meta=meta, encode=_encode_reading,
                 decode=_decode_reading, every=checkpoint_every,
                 resume_from=resume_from, restart_on_mismatch=True)
-        spec = result_cache.spec_for(cache, "shor-order", meta,
+        spec = result_cache.spec_for(cache, "shor-order", lambda: meta,
                                      encode=_encode_reading,
                                      decode=_decode_reading)
         rngs = spawn_rngs(rng, max_attempts)
@@ -325,12 +325,13 @@ def _shor_factor(n, rng, max_base_attempts, workers=None, timeout=None,
         # different streams -- the branch is part of the fingerprint.
         resilient = (timeout is not None or retry is not None
                      or checkpoint is not None)
-        meta = {"n": int(n), "max_base_attempts": int(max_base_attempts),
-                "parallel": parallel.wants_fanout(workers) or resilient,
-                "rng": resilience.rng_fingerprint(rng)}
-        spec = result_cache.spec_for(cache, "shor-factor", meta,
-                                     encode=_encode_shor_result,
-                                     decode=_decode_shor_result)
+        spec = result_cache.spec_for(
+            cache, "shor-factor",
+            lambda: {"n": int(n),
+                     "max_base_attempts": int(max_base_attempts),
+                     "parallel": parallel.wants_fanout(workers) or resilient,
+                     "rng": resilience.rng_fingerprint(rng)},
+            encode=_encode_shor_result, decode=_decode_shor_result)
     if spec is not None:
         hit, cached = spec.lookup()
         if hit:

@@ -210,7 +210,8 @@ class QuantumRuntime:
                 if result_cache.cacheable_seed(rng):
                     spec = result_cache.spec_for(
                         cache, "quantum-shots",
-                        self._cache_meta(circuit, shots, cbit_order, rng),
+                        lambda: self._cache_meta(circuit, shots,
+                                                 cbit_order, rng),
                         encode=_encode_block, decode=_decode_block)
                 counts = chip_time = None
                 if spec is not None:
@@ -247,8 +248,8 @@ class QuantumRuntime:
                         resume_from=resume_from)
                 spec = result_cache.spec_for(
                     cache, "quantum-shots-chunk",
-                    self._cache_meta(circuit, shots, cbit_order, rng,
-                                     sizes=sizes),
+                    lambda: self._cache_meta(circuit, shots, cbit_order,
+                                             rng, sizes=sizes),
                     encode=_encode_block, decode=_decode_block)
                 rngs = spawn_rngs(rng, len(sizes))
                 tasks = [(self.microarch, circuit, cbit_order, block,

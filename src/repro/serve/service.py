@@ -89,8 +89,11 @@ class ServeConfig:
         default 2 means one retry, so a crashed/killed worker recovers
         without caller involvement.
     cache : None, False, path, or ResultCache
-        The multi-tenant result store.  ``None`` (default) uses the
-        active cache (``REPRO_CACHE_DIR``) or, when there is none, a
+        The multi-tenant result store: one entry per successful
+        request, keyed by the request's fingerprint.  It is the only
+        cache on the serve path -- the kernels run with ``cache=False``,
+        so they write no entries of their own.  ``None`` (default) uses
+        the active cache (``REPRO_CACHE_DIR``) or, when there is none, a
         fresh memory-only :class:`~repro.core.cache.ResultCache`;
         ``False`` disables result reuse entirely.  Give the store a
         disk budget via ``ResultCache(max_disk_bytes=...)`` or
@@ -256,20 +259,31 @@ def validate_request(kind, params):
 
 
 def _fingerprint_meta(kind, params):
-    """Fingerprint meta: bulky payloads enter as content digests."""
+    """Fingerprint meta: bulky payloads enter as content hashes.
+
+    The canonical pairs and image hash as float64 arrays by their raw
+    bytes (:func:`~repro.core.cache.array_fingerprint`), which also
+    pins their shape.
+    """
     meta = dict(params)
     if kind == "solve":
         meta["dimacs"] = result_cache.digest(params["dimacs"])
     elif kind == "distance":
-        meta["pairs"] = result_cache.digest(params["pairs"])
+        meta["pairs"] = result_cache.array_fingerprint(
+            np.asarray(params["pairs"], dtype=float))
         meta["count"] = len(params["pairs"])
     elif kind == "detect":
-        meta["image"] = result_cache.digest(params["image"])
+        meta["image"] = result_cache.array_fingerprint(
+            np.asarray(params["image"], dtype=float))
         meta["shape"] = [len(params["image"]), len(params["image"][0])]
     return meta
 
 
 # -- kernel runners (executed on the service's thread pool) -----------------
+#
+# Every runner passes ``cache=False``: the service's result store already
+# keeps each successful result under the request's fingerprint, and
+# kernel-level entries keyed inside one request could serve no other.
 
 def _run_solve(params, config):
     from ..core.cnf import parse_dimacs
@@ -279,8 +293,7 @@ def _run_solve(params, config):
     portfolio = solve_portfolio(
         formula, attempts=params["attempts"], rng=params["seed"],
         workers=config.workers, timeout=config.timeout,
-        retry=config.retries, cache=config.cache,
-        max_steps=params["max_steps"])
+        retry=config.retries, cache=False, max_steps=params["max_steps"])
     best = portfolio.best
     if best is None:
         raise ReproError("every portfolio member failed")
@@ -297,7 +310,7 @@ def _run_factor(params, config):
 
     result = shor_factor(params["n"], rng=params["seed"],
                          workers=config.workers, timeout=config.timeout,
-                         retry=config.retries, cache=config.cache)
+                         retry=config.retries, cache=False)
     factors = None
     if result.succeeded:
         factors = sorted(int(factor) for factor in result.factors)
@@ -313,7 +326,7 @@ def _run_detect(params, config):
                                       n=params["n"])
     corners = detector.detect(image, workers=config.workers,
                               timeout=config.timeout,
-                              retry=config.retries, cache=config.cache)
+                              retry=config.retries, cache=False)
     return {"corners": [[int(row), int(col)] for row, col in corners],
             "count": len(corners)}
 
@@ -324,7 +337,7 @@ def _run_distance_single(params, config):
     unit = OscillatorDistanceUnit(mode=params["mode"])
     measures = unit.measure_pairs(
         params["pairs"], workers=config.workers, timeout=config.timeout,
-        retry=config.retries, cache=config.cache)
+        retry=config.retries, cache=False)
     return {"measures": [float(value) for value in measures],
             "count": len(measures), "mode": params["mode"]}
 
@@ -506,9 +519,11 @@ class JobService:
             registry.counter("serve.requests").inc()
             registry.counter("serve.requests.%s" % kind).inc()
             registry.counter("serve.requests", labels=labels).inc()
-        doc = result_cache.fingerprint("serve.%s" % kind,
-                                       _fingerprint_meta(kind, params))
-        key = result_cache.cache_key(doc)
+        with tracing.use_trace(trace_id), \
+                telemetry.span("cache.fingerprint", kind="serve.%s" % kind):
+            doc = result_cache.fingerprint("serve.%s" % kind,
+                                           _fingerprint_meta(kind, params))
+            key = result_cache.cache_key(doc)
         job = self.table.create(kind, params, tenant, priority, key, doc,
                                 trace_id=trace_id)
         job.future = asyncio.get_event_loop().create_future()
@@ -652,7 +667,8 @@ class JobService:
 
     def _finish(self, job, result):
         if self.cache is not None:
-            self.cache.store(job.key, job.doc, result)
+            with tracing.use_trace(job.trace_id):
+                self.cache.store(job.key, job.doc, result)
         self._settle(job, DONE, result=result)
         for follower in job.followers:
             self._settle(follower, DONE, result=copy.deepcopy(result))

@@ -18,6 +18,9 @@ Three layers of coverage:
 import json
 import multiprocessing
 import os
+import shutil
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -25,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import cache as result_cache
 from repro.core import telemetry
 from repro.core.cache import (
@@ -62,6 +66,30 @@ def _rng_sum(payload):
     return [float(v) for v in rng.normal(size=size)]
 
 
+#: Kinds spanning every source-digest scope: memcomputing, quantum,
+#: oscillators, the service's kinds, and a kind with no paradigm.
+CODE_KINDS = ("dmm-ensemble", "dmm-ensemble-chunk", "dmm-portfolio",
+              "serve.solve", "quantum-shots", "shor-order", "serve.factor",
+              "oscillator-distance", "serve.distance", "demo")
+
+_KEYS_SCRIPT = """
+import json, sys
+from repro.core.cache import cache_key, fingerprint
+print(json.dumps({kind: cache_key(fingerprint(kind, {"n": 1}))
+                  for kind in json.loads(sys.argv[1])}))
+"""
+
+
+def _keys_in_fresh_process(src_dir):
+    """Cache keys of :data:`CODE_KINDS` computed by a new interpreter
+    importing ``repro`` from ``src_dir``."""
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    done = subprocess.run(
+        [sys.executable, "-c", _KEYS_SCRIPT, json.dumps(CODE_KINDS)],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
 class TestKeying:
     def test_key_is_stable_and_content_addressed(self):
         doc = fingerprint("demo", {"a": 1, "rng": ["seed", 3]})
@@ -78,6 +106,28 @@ class TestKeying:
     def test_code_version_participates(self):
         doc = fingerprint("demo", {})
         assert doc["code"] == result_cache.code_version()
+
+    def test_fresh_process_computes_the_same_keys(self):
+        package_parent = os.path.dirname(os.path.dirname(repro.__file__))
+        assert _keys_in_fresh_process(package_parent) == {
+            kind: cache_key(fingerprint(kind, {"n": 1}))
+            for kind in CODE_KINDS}
+
+    def test_source_edit_misses_only_the_edited_paradigm(self, tmp_path):
+        shutil.copytree(os.path.dirname(repro.__file__),
+                        str(tmp_path / "repro"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = _keys_in_fresh_process(tmp_path)
+        with open(str(tmp_path / "repro" / "memcomputing" / "dynamics.py"),
+                  "a") as handle:
+            handle.write("\n# an edit to the DMM dynamics\n")
+        after = _keys_in_fresh_process(tmp_path)
+        changed = {kind for kind in CODE_KINDS
+                   if before[kind] != after[kind]}
+        # DMM kinds (and the whole-package "demo") miss; quantum and
+        # oscillator entries stay valid.
+        assert changed == {"dmm-ensemble", "dmm-ensemble-chunk",
+                           "dmm-portfolio", "serve.solve", "demo"}
 
     def test_array_fingerprint_sees_dtype_shape_and_bytes(self):
         base = np.arange(6.0)
@@ -203,16 +253,73 @@ class TestResultCache:
         assert "'seed': 1" in message and "'seed': 2" in message
         assert "refusing" in message
 
-    def test_corrupt_entry_is_a_clear_error(self, tmp_path):
+    @pytest.mark.parametrize("damage", ["garbled", "truncated", "empty"])
+    def test_corrupt_json_entry_is_quarantined_as_a_miss(self, tmp_path,
+                                                         damage):
         cache = ResultCache(cache_dir=str(tmp_path))
         spec = cache.spec("demo", {"n": 6})
-        spec.store([1], index=0)
+        spec.store([1.5, 2.5], index=0)
         cache.clear_memory()
-        path = os.path.join(str(tmp_path), spec.key(0) + ".json")
-        with open(path, "w") as handle:
-            handle.write("{not json")
-        with pytest.raises(CacheError, match="cannot read"):
-            spec.lookup(0)
+        path = tmp_path / (spec.key(0) + ".json")
+        payload = path.read_text()
+        path.write_text({"garbled": "{not json",
+                         "truncated": payload[:len(payload) // 2],
+                         "empty": ""}[damage])
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            assert spec.lookup(0) == (False, None)
+        assert registry.snapshot()["cache.corrupt"]["value"] == 1
+        assert not path.exists()
+        assert (tmp_path / (path.name + ".corrupt")).exists()
+        # the caller recomputes and stores a fresh entry that serves
+        spec.store([1.5, 2.5], index=0)
+        cache.clear_memory()
+        assert spec.lookup(0) == (True, [1.5, 2.5])
+
+    def test_corrupt_npz_entry_is_quarantined_as_a_miss(self, tmp_path):
+        cache = ResultCache(cache_dir=str(tmp_path))
+        spec = cache.spec("demo", {"n": 7})
+        value = np.linspace(0.0, 1.0, 9)
+        spec.store(value)
+        cache.clear_memory()
+        path = tmp_path / (spec.key() + ".npz")
+        payload = path.read_bytes()
+        path.write_bytes(payload[:len(payload) // 2])
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            assert spec.lookup() == (False, None)
+        assert registry.snapshot()["cache.corrupt"]["value"] == 1
+        assert (tmp_path / (path.name + ".corrupt")).exists()
+        spec.store(value)
+        cache.clear_memory()
+        hit, loaded = spec.lookup()
+        assert hit and np.array_equal(loaded, value)
+
+    def test_readable_entry_with_foreign_fingerprint_still_raises(
+            self, tmp_path):
+        # Quarantine is for damage only: a well-formed entry whose
+        # fingerprint disagrees is refused, not silently replaced.
+        cache = ResultCache(cache_dir=str(tmp_path))
+        spec = cache.spec("demo", {"n": 8})
+        spec.store(np.arange(3.0))
+        cache.clear_memory()
+        other = cache.spec("demo", {"n": 9})
+        os.replace(tmp_path / (spec.key() + ".npz"),
+                   tmp_path / (other.key() + ".npz"))
+        with pytest.raises(CacheError, match="refusing"):
+            other.lookup()
+
+    def test_every_store_fsyncs_its_entry(self, tmp_path, monkeypatch):
+        # Every entry is flushed to disk before it is renamed into place.
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync",
+                            lambda fd: synced.append(fd) or real_fsync(fd))
+        cache = ResultCache(cache_dir=str(tmp_path))
+        spec = cache.spec("demo", {})
+        spec.store([1], index=0)
+        spec.store(np.arange(3.0), index=1)
+        assert len(synced) == 2
 
     def test_telemetry_counters(self, tmp_path):
         registry = telemetry.MetricsRegistry()
@@ -385,13 +492,14 @@ class TestActiveCachePlumbing:
 
     def test_spec_for_refuses_nondeterministic_workloads(self):
         cache = ResultCache()
-        assert spec_for(cache, "demo", {"rng": None}) is None
-        assert isinstance(spec_for(cache, "demo", {"rng": ["seed", 1]}),
-                          CacheSpec)
-        assert isinstance(spec_for(cache, "demo", {"no_rng_key": 1}),
-                          CacheSpec)
-        assert spec_for(False, "demo", {"rng": ["seed", 1]}) is None
-        assert spec_for(None, "demo", {"rng": ["seed", 1]}) is None
+        assert spec_for(cache, "demo", lambda: {"rng": None}) is None
+        assert isinstance(
+            spec_for(cache, "demo", lambda: {"rng": ["seed", 1]}),
+            CacheSpec)
+        assert isinstance(
+            spec_for(cache, "demo", lambda: {"no_rng_key": 1}), CacheSpec)
+        assert spec_for(False, "demo", lambda: {"rng": ["seed", 1]}) is None
+        assert spec_for(None, "demo", lambda: {"rng": ["seed", 1]}) is None
 
 
 class TestParallelMapIntegration:

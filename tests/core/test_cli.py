@@ -506,6 +506,29 @@ class TestProfile:
                 if line and "%" in line and "self%" not in line]
         assert len(rows) == 1
 
+    def test_profile_attributes_the_cache_layer(self, tmp_path):
+        from repro.core import cache as result_cache
+        from repro.core.tracing import read_chrome_trace
+
+        out = self.trace_path(tmp_path)
+        cache_dir = str(tmp_path / "cache")
+        argv = ["profile", "--out", out, "distance", "10", "20", "30", "45",
+                "--cache-dir", cache_dir]
+        code, cold = run_cli(argv)
+        assert code == 0
+        for name in ("cache.fingerprint", "cache.lookup", "cache.store"):
+            assert "/%s " % name in cold, name
+        # Warm, from the disk tier: fingerprint and lookup, nothing to
+        # store, and the lookup span names the tier that answered.
+        result_cache.cache_for_dir(cache_dir).clear_memory()
+        code, warm = run_cli(argv)
+        assert code == 0
+        assert "/cache.fingerprint " in warm and "/cache.lookup " in warm
+        assert "cache.store" not in warm
+        tiers = [event["args"]["tier"] for event in read_chrome_trace(out)
+                 if event["name"] == "cache.lookup"]
+        assert tiers == ["disk"]
+
     def test_profile_workers_show_parallel_lanes(self, instance_path,
                                                  tmp_path):
         from repro.core.tracing import CHROME_MAIN_TID, read_chrome_trace

@@ -151,6 +151,26 @@ class TestTraceContinuity:
 
         asyncio.run(body())
 
+    def test_cache_layer_spans_carry_the_request_trace(self):
+        with _live_registry() as (_registry, sink):
+            async def body():
+                service = JobService(ServeConfig(workers=1))
+                await service.start()
+                try:
+                    job = service.submit("distance",
+                                         {"pairs": [[1.0, 2.0]]})
+                    await job.future
+                    return job.trace_id
+                finally:
+                    await service.close()
+
+            trace_id = asyncio.run(body())
+        traced = {event["name"] for event in sink.events
+                  if event.get("type") == "span"
+                  and event.get("trace") == trace_id}
+        assert {"cache.fingerprint", "cache.lookup",
+                "cache.store"} <= traced
+
     def test_submit_mints_trace_when_caller_has_none(self):
         async def body():
             service = JobService(ServeConfig(workers=1))

@@ -9,11 +9,13 @@ what makes the coalescing/batching/priority assertions deterministic.
 """
 
 import asyncio
+import os
 
 import numpy as np
 import pytest
 
 from repro.core import telemetry
+from repro.core.cache import ResultCache
 from repro.core.exceptions import (
     JobValidationError,
     QueueFullError,
@@ -345,3 +347,64 @@ class TestStats:
         )
         corners = OscillatorFastDetector(threshold=30.0).detect(image)
         assert result["corners"] == [[int(r), int(c)] for r, c in corners]
+
+
+class TestResultStore:
+    """The service's disk store: one entry per request, and a damaged
+    entry degrades to a recomputation rather than a permanent 500."""
+
+    DIMACS = "p cnf 3 2\n1 -2 0\n2 3 0\n"
+    REQUESTS = (
+        ("distance", {"pairs": [[1.0, 2.0], [30.0, 50.0]]}),
+        ("detect", {"image": [[float((r * 31 + c * 7) % 97)
+                               for c in range(10)] for r in range(10)]}),
+        ("solve", {"dimacs": DIMACS, "attempts": 2, "max_steps": 20000}),
+        ("factor", {"n": 21, "seed": 1}),
+    )
+
+    @staticmethod
+    def _entries(directory):
+        return sorted(name for name in os.listdir(directory)
+                      if name.endswith((".json", ".npz")))
+
+    def test_each_request_stores_exactly_one_entry(self, tmp_path):
+        async def body(service):
+            jobs = [service.submit(kind, params)
+                    for kind, params in self.REQUESTS]
+            await asyncio.gather(*(job.future for job in jobs))
+            assert all(job.state == DONE for job in jobs), \
+                [job.error for job in jobs]
+            return sorted(job.key + ".json" for job in jobs)
+
+        # retries=2 sends every kernel down its chunked path, where the
+        # kernels used to store per-chunk entries of their own.
+        keys = run_service_test(
+            body, cache=ResultCache(cache_dir=str(tmp_path)), retries=2)
+        assert self._entries(tmp_path) == keys
+
+    def test_corrupt_store_entry_recomputes_and_settles_done(self,
+                                                            tmp_path):
+        params = {"pairs": [[1.0, 2.0], [30.0, 50.0]]}
+        expected = OscillatorDistanceUnit().measure_pairs(params["pairs"])
+
+        async def submit(service):
+            job = service.submit("distance", params)
+            await job.future
+            return job
+
+        first = run_service_test(
+            submit, cache=ResultCache(cache_dir=str(tmp_path)))
+        path = tmp_path / (first.key + ".json")
+        path.write_text(path.read_text()[:20])     # a torn write
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            again = run_service_test(
+                submit, cache=ResultCache(cache_dir=str(tmp_path)))
+        assert again.state == DONE and not again.cached
+        assert again.result["measures"] == expected
+        assert registry.snapshot()["cache.corrupt"]["value"] == 1
+        assert (tmp_path / (first.key + ".json.corrupt")).exists()
+        # The recomputed result replaced the damaged entry.
+        third = run_service_test(
+            submit, cache=ResultCache(cache_dir=str(tmp_path)))
+        assert third.cached and third.result == again.result
