@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test bench examples fast-test test-parallel test-resilience test-serve test-backends test-goldens test-equivalence reproduce lint check clean perf-history perf-check profile-demo
+.PHONY: test bench examples fast-test test-parallel test-resilience test-serve test-goldens test-equivalence reproduce lint check clean perf-history perf-check profile-demo
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -37,16 +37,6 @@ print('REPRO_FAULTS env injection: ok')"
 test-serve:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		$(PYTHON) -m pytest tests/serve -q
-
-# Backend differential tier: serial / pool / loopback-remote execution
-# held bit-identical (results, RNG states, telemetry merges, cache
-# keys, cross-backend checkpoint resume), plus remote fault injection
-# (killed hosts, hangs, dropped connections -> reroute and complete).
-# Spawns real worker-host agent processes on loopback TCP.  See
-# tests/backends/ and docs/backends.md.
-test-backends:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		$(PYTHON) -m pytest tests/backends -q
 
 # Golden-claims tier: the paper's headline numbers (FIG4, FIG5, POWER,
 # DMM-SAT) pinned with explicit tolerances on small seeded configs.

@@ -22,26 +22,14 @@ notes, but cannot meaningfully pass a wall-clock bar.  The 2-worker
 and auto ratios are emitted as ``speedup_at_2`` / ``speedup_at_auto``
 metrics so ``tools/check_perf.py`` can pin "multi-worker dispatch is
 never materially slower than serial" as a regression floor.
-
-A second study measures the **remote backend's per-chunk round-trip**
-over a loopback ``repro worker-host`` agent (pickle -> length-prefixed
-TCP frame -> execute -> reply; see ``docs/backends.md``).  The min
-round-trip of a tiny chunk is the dispatch-overhead floor every remote
-run pays per chunk, published as ``remote_chunk_roundtrip_ms`` with an
-absolute ceiling pinned in ``benchmarks/baseline.json`` -- loopback
-framing overhead is a semantic budget, not host-dependent wall clock.
 """
 
 import os
-import statistics
 import time
 
 import numpy as np
 from conftest import bench_workers, emit_table
 
-from repro.core import backends as backends_module
-from repro.core.backends.hostagent import spawn_local_agent
-from repro.core.parallel import ParallelMap, shutdown_pools
 from repro.core.sat_instances import planted_ksat
 from repro.memcomputing.ensemble import solve_ensemble
 
@@ -55,14 +43,6 @@ MAX_STEPS = 60_000
 REPEATS = 2
 SPEEDUP_FLOOR = 2.0
 ASSERT_MIN_CORES = 4
-
-ROUNDTRIP_WARMUP = 3
-ROUNDTRIP_ROUNDS = 30
-ROUNDTRIP_ARRAY_BYTES = 64 * 1024
-
-
-def _echo(task):
-    return task
 
 
 def run_scaling_study():
@@ -142,67 +122,3 @@ def test_parallel_scaling_dmm_ensemble(benchmark):
         assert speedups[4] >= SPEEDUP_FLOOR, (
             "expected >= %.1fx speedup at 4 workers on a %d-core host, "
             "measured %.2fx" % (SPEEDUP_FLOOR, cores, speedups[4]))
-
-
-def run_remote_roundtrip_study():
-    """Min/median per-chunk round-trip over a loopback worker-host.
-
-    One agent, one client link, ``workers=1`` so every ``map`` call is
-    exactly one chunk on the wire.  The warm-up rounds absorb the TCP
-    connect and pickle-by-reference import on the agent side; the timed
-    rounds then measure the steady-state frame -> execute -> reply loop
-    the scheduler pays per chunk.
-    """
-    shutdown_pools()  # fork safety: agent forks off a quiescent parent
-    agent = spawn_local_agent(capacity=2)
-    try:
-        engine = ParallelMap(workers=1, backend="remote",
-                             hosts=agent.spec)
-        payloads = [
-            ("tiny (one int)", 17),
-            ("64 KiB array",
-             np.arange(ROUNDTRIP_ARRAY_BYTES // 8, dtype=np.float64)),
-        ]
-        samples = {}
-        for label, payload in payloads:
-            for _ in range(ROUNDTRIP_WARMUP):
-                engine.map(_echo, [payload])
-            timed = []
-            for _ in range(ROUNDTRIP_ROUNDS):
-                start = time.perf_counter()
-                result = engine.map(_echo, [payload])
-                timed.append((time.perf_counter() - start) * 1000.0)
-            assert np.array_equal(result[0], payload)
-            samples[label] = timed
-    finally:
-        backends_module.shutdown_backends()
-        agent.terminate()
-    return samples
-
-
-def test_remote_chunk_roundtrip(benchmark):
-    samples = benchmark.pedantic(run_remote_roundtrip_study, rounds=1,
-                                 iterations=1)
-    rows = [(label, min(timed), statistics.median(timed), len(timed))
-            for label, timed in samples.items()]
-    tiny = samples["tiny (one int)"]
-    bulk = samples["64 KiB array"]
-    metrics = {
-        "remote_chunk_roundtrip_ms": min(tiny),
-        "remote_chunk_roundtrip_64k_ms": min(bulk),
-    }
-    emit_table(
-        "remote_roundtrip",
-        "Remote backend per-chunk round-trip (loopback worker-host, "
-        "%d rounds)" % ROUNDTRIP_ROUNDS,
-        ["payload", "min [ms]", "median [ms]", "rounds"],
-        rows,
-        notes=[
-            "one chunk per map call (workers=1): each round pays the "
-            "full pickle -> frame -> execute -> reply loop",
-            "min round-trip is the per-chunk dispatch floor of the "
-            "remote backend; chunks should carry work well above it "
-            "(see docs/backends.md on chunk sizing)",
-        ],
-        metrics=metrics)
-    assert all(sample_ms > 0.0 for sample_ms in tiny + bulk)

@@ -45,11 +45,39 @@ def _add_observability_flags(subparser):
                                 "the run")
 
 
+def _count_flag(text):
+    """Parse a count flag such as ``--retries``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            "must be an integer >= 1, got %r" % text)
+    return value
+
+
 def _workers_flag(text):
-    """Parse ``--workers``: a positive integer or the string ``auto``."""
+    """Parse ``--workers``: an integer >= 1 or the string ``auto``."""
     if text.strip().lower() == "auto":
         return "auto"
-    return int(text)
+    try:
+        return _count_flag(text)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            "must be an integer >= 1 or 'auto', got %r" % text)
+
+
+def _seconds_flag(text):
+    """Parse ``--timeout``: a positive number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not value > 0.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            "must be a positive number of seconds, got %r" % text)
+    return value
 
 
 def _add_parallel_flags(subparser):
@@ -60,46 +88,14 @@ def _add_parallel_flags(subparser):
                                 "size the pool from the machine's cores "
                                 "(default: REPRO_WORKERS env or 1 == "
                                 "serial; see docs/parallelism.md)")
-    subparser.add_argument("--backend", default=None,
-                           choices=("serial", "pool", "remote"),
-                           help="where chunks execute: inline, the "
-                                "persistent local worker pool, or "
-                                "remote 'repro worker-host' agents "
-                                "(default: REPRO_BACKEND env or the "
-                                "automatic serial/pool choice; see "
-                                "docs/backends.md)")
-    subparser.add_argument("--hosts", default=None, metavar="HOSTS",
-                           help="comma-separated worker hosts for "
-                                "--backend remote: host:port or "
-                                "host:port:capacity (default: "
-                                "REPRO_HOSTS env)")
-
-
-@contextlib.contextmanager
-def _backend_scope(args):
-    """Install the --backend/--hosts choice as the ambient backend.
-
-    Kernel call sites construct their own ``ParallelMap``s; the ambient
-    scope (:func:`repro.core.backends.use_backend`) is how one CLI flag
-    reaches all of them without threading a parameter through every
-    kernel signature.
-    """
-    backend = getattr(args, "backend", None)
-    hosts = getattr(args, "hosts", None)
-    if backend is None and hosts is None:
-        yield
-        return
-    from .core import backends
-    with backends.use_backend(backend, hosts):
-        yield
 
 
 def _add_resilience_flags(subparser):
-    subparser.add_argument("--retries", type=int, default=None,
+    subparser.add_argument("--retries", type=_count_flag, default=None,
                            metavar="N",
                            help="attempts per failed parallel chunk "
                                 "(1 == no retry; see docs/resilience.md)")
-    subparser.add_argument("--timeout", type=float, default=None,
+    subparser.add_argument("--timeout", type=_seconds_flag, default=None,
                            metavar="S",
                            help="per-chunk wall-clock budget in seconds "
                                 "(enforced when worker processes are in "
@@ -291,11 +287,13 @@ def _build_parser():
                        help="max jobs one tenant may hold queued or "
                             "running; 0 disables quotas (default: "
                             "%(default)s)")
-    serve.add_argument("--retries", type=int, default=2, metavar="N",
+    serve.add_argument("--retries", type=_count_flag, default=2,
+                       metavar="N",
                        help="attempts per failed kernel chunk -- the "
                             "default 2 retries a crashed worker once "
                             "(default: %(default)s)")
-    serve.add_argument("--timeout", type=float, default=None, metavar="S",
+    serve.add_argument("--timeout", type=_seconds_flag, default=None,
+                       metavar="S",
                        help="per-chunk wall-clock budget for every job "
                             "(enforced through the pool even at "
                             "--workers 1)")
@@ -324,29 +322,6 @@ def _build_parser():
     _add_observability_flags(serve)
     _add_parallel_flags(serve)
     _add_cache_flags(serve)
-
-    worker_host = commands.add_parser(
-        "worker-host",
-        help="run a worker-host agent executing remote chunks",
-        description="Run a worker-host agent: listens on TCP for "
-                    "chunk payloads from --backend remote clients, "
-                    "executes them through the same run_task path as a "
-                    "local pool worker, and ships results (and merged "
-                    "telemetry) back.  Point clients at it with "
-                    "--hosts host:port[:capacity].  See "
-                    "docs/backends.md.")
-    worker_host.add_argument("--host", default="127.0.0.1",
-                             help="bind address (default: %(default)s)")
-    worker_host.add_argument("--port", type=int, default=0,
-                             help="bind port (default: 0 == pick a "
-                                  "free port and print it)")
-    worker_host.add_argument("--capacity", type=int, default=None,
-                             metavar="N",
-                             help="concurrent chunk budget advertised "
-                                  "to clients (default: CPU count)")
-    worker_host.add_argument("--name", default=None,
-                             help="stable identity reported to clients "
-                                  "(default: host:port)")
 
     slo = commands.add_parser(
         "slo",
@@ -604,8 +579,7 @@ def _run_serve(args, out):
             batch_pairs=args.batch_pairs,
             job_concurrency=args.job_concurrency,
             slo=args.slo, flight_dir=args.flight_dir,
-            flight_events=args.flight_events,
-            backend=args.backend, hosts=args.hosts)
+            flight_events=args.flight_events)
     except SloError as error:
         out.write("error: %s\n" % error)
         return 2
@@ -626,31 +600,6 @@ def _run_serve(args, out):
         asyncio.run(_serve())
     except KeyboardInterrupt:
         out.write("repro serve stopped\n")
-    return 0
-
-
-def _run_worker_host(args, out):
-    from .core.backends import hostagent
-
-    try:
-        agent = hostagent.WorkerHostAgent(
-            host=args.host, port=args.port, capacity=args.capacity,
-            name=args.name)
-        host, port = agent.start()
-    except OSError as error:
-        out.write("error: cannot bind %s:%d: %s\n"
-                  % (args.host, args.port, error))
-        return 2
-    out.write("repro worker-host listening on %s:%d (capacity %d)\n"
-              % (host, port, agent.capacity))
-    out.write("point clients at it with --backend remote "
-              "--hosts %s:%d; Ctrl-C stops\n" % (host, port))
-    try:
-        agent.serve_forever()
-    except KeyboardInterrupt:
-        out.write("repro worker-host stopped\n")
-    finally:
-        agent.close()
     return 0
 
 
@@ -740,14 +689,13 @@ def main(argv=None, out=None):
         "distance": _run_distance,
         "profile": _run_profile,
         "serve": _run_serve,
-        "worker-host": _run_worker_host,
         "slo": _run_slo,
         "reproduce": _run_reproduce,
     }
     if args.command is None:
         parser.print_help(out)
         return 0
-    with _telemetry_scope(args, out), _backend_scope(args):
+    with _telemetry_scope(args, out):
         return handlers[args.command](args, out)
 
 

@@ -106,20 +106,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: bytes; unset or empty means unbounded).
 CACHE_DISK_BYTES_ENV = "REPRO_CACHE_DISK_BYTES"
 
-#: Environment variable selecting the disk-tier shard depth: entry
-#: files live under a ``<key[:depth]>/`` subdirectory of the cache
-#: dir.  0 (the default) keeps the historical flat layout.  Sharding
-#: exists for multi-host deployments -- a shared-mount ``REPRO_CACHE_DIR``
-#: stays listable when many worker hosts store into it, and per-host
-#: shard subsets rsync cleanly -- and is read-compatible both ways:
-#: a sharded cache still *reads* flat entries, so turning sharding on
-#: over an existing directory loses nothing.  Every host sharing a
-#: directory must agree on the depth for *writes* to dedupe.
-CACHE_SHARDS_ENV = "REPRO_CACHE_SHARDS"
-
-#: Cache keys are 64 hex chars; shard prefixes must leave some key.
-_MAX_SHARD_DEPTH = 8
-
 #: Default capacity of the in-process LRU front (entries, not bytes).
 DEFAULT_MAX_MEMORY_ENTRIES = 256
 
@@ -304,12 +290,8 @@ class ResultCache:
     """
 
     def __init__(self, cache_dir=None, max_memory_entries=None,
-                 max_disk_bytes=None, shard_depth=0):
+                 max_disk_bytes=None):
         self.cache_dir = None if cache_dir is None else str(cache_dir)
-        if not 0 <= int(shard_depth) <= _MAX_SHARD_DEPTH:
-            raise CacheError("shard_depth must be in 0..%d, got %r"
-                             % (_MAX_SHARD_DEPTH, shard_depth))
-        self.shard_depth = int(shard_depth)
         if max_memory_entries is None:
             max_memory_entries = DEFAULT_MAX_MEMORY_ENTRIES
         if int(max_memory_entries) < 0:
@@ -336,38 +318,10 @@ class ResultCache:
         return CacheSpec(self, kind, meta, encode=encode, decode=decode)
 
     def _paths(self, key):
-        """Primary (write-side) entry paths for ``key``.
-
-        With sharding on, entries live under a fingerprint-prefix
-        subdirectory (``<dir>/<key[:depth]>/<key>.json``); lookups
-        additionally fall back to the flat pre-shard layout
-        (:meth:`_find_entry`), so an existing directory survives the
-        setting being turned on.
-        """
         if self.cache_dir is None:
             return None, None
-        directory = self.cache_dir
-        if self.shard_depth:
-            directory = os.path.join(directory, key[:self.shard_depth])
-        return (os.path.join(directory, key + ".json"),
-                os.path.join(directory, key + ".npz"))
-
-    def _find_entry(self, key, suffix):
-        """The existing on-disk entry for ``key``, or None.
-
-        Checks the sharded location first, then the flat layout (reads
-        stay compatible across the sharding setting).
-        """
-        if self.cache_dir is None:
-            return None
-        candidates = [os.path.join(self.cache_dir, key + suffix)]
-        if self.shard_depth:
-            candidates.insert(0, os.path.join(
-                self.cache_dir, key[:self.shard_depth], key + suffix))
-        for path in candidates:
-            if os.path.exists(path):
-                return path
-        return None
+        return (os.path.join(self.cache_dir, key + ".json"),
+                os.path.join(self.cache_dir, key + ".npz"))
 
     # -- lookup -----------------------------------------------------------
 
@@ -402,8 +356,10 @@ class ResultCache:
             return True, copy.deepcopy(value)
 
     def _disk_lookup(self, key, doc, decode):
-        json_path = self._find_entry(key, ".json")
-        if json_path is not None:
+        json_path, npz_path = self._paths(key)
+        if json_path is None:
+            return None, False
+        if os.path.exists(json_path):
             try:
                 with open(json_path) as handle:
                     document = json.load(handle)
@@ -416,8 +372,7 @@ class ResultCache:
             if decode is not None:
                 value = decode(value)
             return value, True
-        npz_path = self._find_entry(key, ".npz")
-        if npz_path is not None:
+        if os.path.exists(npz_path):
             try:
                 with open(npz_path, "rb") as handle, \
                         np.load(handle, allow_pickle=False) as data:
@@ -481,7 +436,7 @@ class ResultCache:
         json_path, npz_path = self._paths(key)
         if json_path is None:
             return
-        os.makedirs(os.path.dirname(json_path), exist_ok=True)
+        os.makedirs(self.cache_dir, exist_ok=True)
         # Scratch names carry the writer's pid: two processes storing
         # the same key concurrently must not share a scratch file, or
         # the slower one's rename races the faster one's commit.
@@ -517,35 +472,21 @@ class ResultCache:
         self._enforce_disk_budget(written, stored_path)
 
     def _disk_entries(self):
-        """``(path, mtime, size)`` for every committed entry file.
-
-        Walks the flat directory plus one level of shard
-        subdirectories, so the disk budget governs the whole tier
-        whatever layout (or mix of layouts) the directory holds.
-        """
+        """``(path, mtime, size)`` for every committed entry file."""
         entries = []
-        directories = [self.cache_dir]
         try:
-            for name in os.listdir(self.cache_dir):
-                path = os.path.join(self.cache_dir, name)
-                if os.path.isdir(path):
-                    directories.append(path)
+            names = os.listdir(self.cache_dir)
         except OSError:  # pragma: no cover -- directory vanished
             return entries
-        for directory in directories:
+        for name in names:
+            if not name.endswith((".json", ".npz")):
+                continue  # scratch files commit or vanish on their own
+            path = os.path.join(self.cache_dir, name)
             try:
-                names = os.listdir(directory)
+                stat = os.stat(path)
             except OSError:  # pragma: no cover -- concurrent eviction
                 continue
-            for name in names:
-                if not name.endswith((".json", ".npz")):
-                    continue  # scratch files commit or vanish on their own
-                path = os.path.join(directory, name)
-                try:
-                    stat = os.stat(path)
-                except OSError:  # pragma: no cover -- concurrent eviction
-                    continue
-                entries.append((path, stat.st_mtime, stat.st_size))
+            entries.append((path, stat.st_mtime, stat.st_size))
         return entries
 
     def _enforce_disk_budget(self, written, keep):
@@ -688,42 +629,21 @@ def _env_disk_budget():
                          % (CACHE_DISK_BYTES_ENV, raw))
 
 
-def _env_shard_depth():
-    """The ``REPRO_CACHE_SHARDS`` prefix depth, or 0 when unset."""
-    raw = os.environ.get(CACHE_SHARDS_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        depth = int(raw)
-    except ValueError:
-        raise CacheError("%s must be an integer shard depth, got %r"
-                         % (CACHE_SHARDS_ENV, raw))
-    if not 0 <= depth <= _MAX_SHARD_DEPTH:
-        raise CacheError("%s must be in 0..%d, got %d"
-                         % (CACHE_SHARDS_ENV, _MAX_SHARD_DEPTH, depth))
-    return depth
-
-
-def cache_for_dir(cache_dir, max_disk_bytes=None, shard_depth=None):
+def cache_for_dir(cache_dir, max_disk_bytes=None):
     """The shared :class:`ResultCache` for a directory.
 
     Memoized per absolute path so repeated kernels in one process share
     the memory tier instead of re-reading disk entries.  The disk byte
     budget comes from ``max_disk_bytes`` or, when that is None, the
-    ``REPRO_CACHE_DISK_BYTES`` environment variable; likewise the
-    shard depth from ``shard_depth`` or ``REPRO_CACHE_SHARDS``.  Both
-    only apply when this call creates the cache (the first caller
-    wins).
+    ``REPRO_CACHE_DISK_BYTES`` environment variable; it only applies
+    when this call creates the cache (the first caller wins).
     """
     path = os.path.abspath(str(cache_dir))
     if path not in _dir_caches:
         if max_disk_bytes is None:
             max_disk_bytes = _env_disk_budget()
-        if shard_depth is None:
-            shard_depth = _env_shard_depth()
         _dir_caches[path] = ResultCache(cache_dir=path,
-                                        max_disk_bytes=max_disk_bytes,
-                                        shard_depth=shard_depth)
+                                        max_disk_bytes=max_disk_bytes)
     return _dir_caches[path]
 
 

@@ -27,14 +27,6 @@ the host-side scheduler for those bags:
 * :class:`TaskFailure` -- the ordered-result placeholder for a chunk
   that raised, timed out, failed validation, or whose worker died.
 
-Where chunks *execute* is a pluggable interface
-(:mod:`repro.core.backends`): ``backend="serial"`` runs them inline,
-``"pool"`` on the persistent local worker pool, ``"remote"`` on
-``repro worker-host`` agents over TCP -- with identical results, cache
-keys, and merged telemetry by construction (``tests/backends/`` holds
-the library to that; see ``docs/backends.md``).  ``backend=None``
-keeps the historical automatic serial/pool choice.
-
 Large ndarrays inside chunk payloads ride in POSIX shared memory
 (:mod:`repro.core.shm`) instead of pickling through the dispatch queue;
 the worker copies the array out of the segment, so the semantics are
@@ -113,7 +105,7 @@ import threading
 import time
 import warnings
 
-from . import backends, resilience, shm, telemetry, tracing
+from . import resilience, shm, telemetry, tracing
 from .exceptions import ParallelError
 from .tracing import ListSink
 
@@ -645,17 +637,10 @@ def _get_pool(context, registry):
 
 
 def shutdown_pools():
-    """Stop every persistent pool and warm remote backend.
-
-    The atexit hook; also callable from tests.  Closing remote
-    backends here keeps the lifecycle symmetric: ``shutdown_pools()``
-    returns the execution layer to a cold state whatever backend a map
-    used, and the next map reconnects/respawns on demand.
-    """
+    """Stop every persistent pool (atexit hook; callable from tests)."""
     for pool in list(_POOLS.values()):
         pool.shutdown()
     _POOLS.clear()
-    backends.shutdown_backends()
 
 
 atexit.register(shutdown_pools)
@@ -686,51 +671,20 @@ class ParallelMap:
         Force a multiprocessing start method (mostly for tests); the
         default prefers ``fork`` and degrades to serial when the
         platform has no usable method.
-    backend : str, ExecutionBackend, or None
-        Where chunks execute: ``"serial"`` (inline), ``"pool"`` (the
-        persistent local worker pool), ``"remote"`` (worker-host agents
-        over TCP; needs ``hosts=``), or a ready
-        :class:`~repro.core.backends.base.ExecutionBackend` instance.
-        ``None`` (the default) consults the ambient
-        :func:`repro.core.backends.use_backend` scope and the
-        ``REPRO_BACKEND`` environment variable, then falls back to the
-        automatic serial/pool choice -- so existing call sites behave
-        exactly as before.  The backend decides only *where* chunks
-        run; chunking, RNG spawning, cache keys, and checkpoints are
-        identical across backends.
-    hosts : str, iterable, or None
-        Worker hosts for ``backend="remote"``: ``"host:port"`` or
-        ``"host:port:capacity"`` entries (comma-separated string or a
-        list).  ``None`` falls back to the ambient scope and
-        ``REPRO_HOSTS``.
 
     Notes
     -----
     ``fn`` must be a module-level callable and tasks/results must be
     picklable (both are inherited for free under ``fork``, but the
-    contract keeps callers portable to ``spawn`` platforms and remote
-    hosts).
+    contract keeps callers portable to ``spawn`` platforms).
     """
 
-    def __init__(self, workers=None, timeout=None, start_method=None,
-                 backend=None, hosts=None):
+    def __init__(self, workers=None, timeout=None, start_method=None):
         self.workers = resolve_workers(workers)
         if timeout is not None and timeout <= 0:
             raise ParallelError("timeout must be positive, got %r" % timeout)
         self.timeout = timeout
         self.start_method = start_method
-        if backend is not None and not isinstance(
-                backend, (str, backends.ExecutionBackend)):
-            raise ParallelError(
-                "backend must be one of %s or an ExecutionBackend, got %r"
-                % (", ".join(backends.BACKEND_NAMES), backend))
-        if isinstance(backend, str) \
-                and backend.strip().lower() not in backends.BACKEND_NAMES:
-            raise ParallelError(
-                "unknown backend %r (expected one of %s)"
-                % (backend, ", ".join(backends.BACKEND_NAMES)))
-        self.backend = backend
-        self.hosts = hosts
 
     def map(self, fn, tasks, on_error="raise", retry=None, validate=None,
             checkpoint=None, cache=None):
@@ -805,7 +759,7 @@ class ParallelMap:
             workers = min(self.workers, total)
         with telemetry.span("parallel.map", tasks=total,
                             workers=workers) as map_span:
-            # The backend is chosen once per map and reused for every
+            # The context is chosen once per map and reused for every
             # retry round: a round that shrinks to one pending chunk
             # must NOT fall back to serial, or the timeout (and with it
             # hang recovery) would silently stop being enforced.  For
@@ -814,22 +768,19 @@ class ParallelMap:
             # deadline; a wedged inline call would hang the caller.
             fanout = workers > 1 \
                 or (self.timeout is not None and bool(pending))
-            backend = backends.resolve_backend(
-                self.backend, hosts=self.hosts,
-                start_method=self.start_method, fanout=fanout)
-            if backend.name == "serial" and self.timeout is not None \
-                    and pending:
+            context = _pick_context(self.start_method) if fanout else None
+            if context is None and self.timeout is not None and pending:
                 _warn_timeout_unenforced(self.timeout, registry)
             copy_tasks = retry is not None or plan is not None
             attempt = 1
             while pending:
-                if registry.enabled:
-                    registry.counter(
-                        "backend.chunks",
-                        labels={"backend": backend.name}).inc(len(pending))
-                round_values = backend.run_round(
-                    fn, pending, workers, self.timeout, registry,
-                    attempt, plan, copy_tasks)
+                if context is None:
+                    round_values = self._run_serial(
+                        fn, pending, registry, attempt, plan, copy_tasks)
+                else:
+                    round_values = self._run_pool(
+                        fn, pending, workers, context, registry, attempt,
+                        plan)
                 retry_pairs = []
                 for index, task in pending:
                     value = round_values[index]
@@ -936,7 +887,15 @@ class ParallelMap:
                 else "parallel.auto.parallel").inc()
         return workers
 
-    # -- shared round collection ------------------------------------------
+    # -- persistent worker pool -------------------------------------------
+
+    def _run_pool(self, fn, pairs, workers, context, registry, attempt,
+                  plan):
+        """One retry round on the persistent pool for this start method."""
+        pool = _get_pool(context, registry)
+        outcomes = pool.run_round(fn, pairs, workers, self.timeout,
+                                  registry, attempt, plan)
+        return self._collect(outcomes, registry, registry.enabled)
 
     @staticmethod
     def _collect(outcomes, registry, instrument):
@@ -975,8 +934,7 @@ class ParallelMap:
 
 
 def parallel_map(fn, tasks, workers=None, timeout=None, on_error="raise",
-                 retry=None, backend=None, hosts=None):
+                 retry=None):
     """One-shot convenience wrapper around :class:`ParallelMap`."""
-    return ParallelMap(workers=workers, timeout=timeout, backend=backend,
-                       hosts=hosts).map(
+    return ParallelMap(workers=workers, timeout=timeout).map(
         fn, tasks, on_error=on_error, retry=retry)

@@ -173,8 +173,8 @@ def resolve_retry(retry):
     """Coerce a ``retry`` argument into a :class:`RetryPolicy` or None.
 
     Accepts ``None`` (no retries), an existing policy, or an int --
-    the CLI's ``--retries N`` -- read as ``max_attempts`` (``N <= 1``
-    means no retries).
+    the CLI's ``--retries N`` -- read as ``max_attempts``: ``N == 1``
+    means no retries, and ``N < 1`` raises :class:`ResilienceError`.
     """
     if retry is None:
         return None

@@ -47,7 +47,7 @@ from .exceptions import TelemetryError
 #: The only label keys instruments accept; anything else raises
 #: :class:`TelemetryError`.  Keeping the key space closed is what keeps
 #: exposition cardinality analyzable.
-LABEL_KEYS = ("backend", "host", "kind", "outcome", "paradigm", "tenant")
+LABEL_KEYS = ("kind", "outcome", "paradigm", "tenant")
 
 #: Distinct label-value combinations allowed per base metric name per
 #: registry before new combinations collapse into the overflow series.

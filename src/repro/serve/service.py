@@ -38,11 +38,12 @@ import time
 
 import numpy as np
 
-from ..core import backends as backends_module
 from ..core import cache as result_cache
 from ..core import telemetry, tracing
-from ..core.exceptions import JobValidationError, ReproError
+from ..core.exceptions import (JobValidationError, ParallelError,
+                               ReproError)
 from ..core.parallel import resolve_workers
+from ..core.resilience import resolve_retry
 from . import slo as slo_module
 from . import jobs as jobs_module
 from .admission import (
@@ -81,13 +82,13 @@ class ServeConfig:
         Worker processes for each kernel's fan-out path (the shared
         persistent pool; see ``docs/parallelism.md``).
     timeout : float or None
-        Per-chunk wall-clock budget handed to every kernel.  With the
-        PR 8 fix this is enforced even at ``workers=1`` (the pool path
+        Per-chunk wall-clock budget handed to every kernel; must be
+        positive.  It is enforced even at ``workers=1`` (the pool path
         kills a wedged chunk), which is exactly what a service needs.
     retries : int
-        Attempts per failed chunk (the kernels' ``retry=``); the
-        default 2 means one retry, so a crashed/killed worker recovers
-        without caller involvement.
+        Attempts per failed chunk (the kernels' ``retry=``), at least
+        1; the default 2 means one retry, so a crashed/killed worker
+        recovers without caller involvement.
     cache : None, False, path, or ResultCache
         The multi-tenant result store: one entry per successful
         request, keyed by the request's fingerprint.  It is the only
@@ -119,18 +120,6 @@ class ServeConfig:
         restarted (:class:`repro.core.tracing.FlightRecorder`).
     flight_events : int
         Ring capacity for the flight recorder.
-    backend : None, backend name, or ExecutionBackend
-        Chunk execution backend for every kernel the service runs
-        (``"serial"``, ``"pool"``, ``"remote"``, or an
-        :class:`~repro.core.backends.ExecutionBackend` instance; see
-        ``docs/backends.md``).  ``None`` keeps the library's automatic
-        choice -- the shared persistent pool when fanning out.  The
-        service installs this as an ambient
-        :func:`~repro.core.backends.use_backend` scope for its whole
-        lifetime, so all dispatcher threads inherit it.
-    hosts : None, str, or iterable
-        Worker hosts (``"host:port[:capacity]"`` entries, comma string
-        or list) for ``backend="remote"``.
     """
 
     def __init__(self, workers=None, timeout=None, retries=2, cache=None,
@@ -138,11 +127,16 @@ class ServeConfig:
                  tenant_quota=DEFAULT_TENANT_QUOTA,
                  batch_pairs=4096, job_concurrency=2,
                  retention=jobs_module.DEFAULT_RETENTION,
-                 slo=None, flight_dir=None, flight_events=256,
-                 backend=None, hosts=None):
+                 slo=None, flight_dir=None, flight_events=256):
+        # Workers, timeout and retries are checked here so a bad value
+        # fails at startup rather than in every job.
         self.workers = resolve_workers(workers)
+        if timeout is not None and not timeout > 0:
+            raise ParallelError("timeout must be positive, got %r"
+                                % (timeout,))
         self.timeout = timeout
         self.retries = int(retries)
+        resolve_retry(self.retries)
         self.cache = cache
         self.queue_depth = int(queue_depth)
         self.tenant_quota = tenant_quota
@@ -154,19 +148,6 @@ class ServeConfig:
         self.slo = slo
         self.flight_dir = flight_dir
         self.flight_events = int(flight_events)
-        if backend is not None and not isinstance(
-                backend, (str, backends_module.ExecutionBackend)):
-            raise ReproError(
-                "backend must be one of %s or an ExecutionBackend, got %r"
-                % (", ".join(backends_module.BACKEND_NAMES), backend))
-        if isinstance(backend, str) \
-                and backend.strip().lower() \
-                not in backends_module.BACKEND_NAMES:
-            raise ReproError(
-                "unknown backend %r (expected one of %s)"
-                % (backend, ", ".join(backends_module.BACKEND_NAMES)))
-        self.backend = backend
-        self.hosts = hosts
 
 
 # -- request validation -----------------------------------------------------
@@ -412,7 +393,6 @@ class JobService:
         self._executor = None
         self._own_registry = None
         self._flight = None
-        self._backend_scope = None
         # History backing windowed SLO burn rates (only kept when some
         # objective actually declares a window).
         self._slo_window = None
@@ -441,15 +421,6 @@ class JobService:
                 self.config.flight_dir,
                 capacity=self.config.flight_events)
             registry.add_sink(self._flight)
-        if (self.config.backend is not None
-                or self.config.hosts is not None) \
-                and self._backend_scope is None:
-            # Ambient for the service's lifetime: dispatcher threads
-            # run kernels off the event loop, and the override stack
-            # is cross-thread, so every kernel inherits the choice.
-            self._backend_scope = backends_module.use_backend(
-                self.config.backend, hosts=self.config.hosts)
-            self._backend_scope.__enter__()
         self._closing = False
         loop = asyncio.get_running_loop()
         self._executor = concurrent.futures.ThreadPoolExecutor(
@@ -476,9 +447,6 @@ class JobService:
             if hasattr(registry, "remove_sink"):
                 registry.remove_sink(self._flight)
             self._flight = None
-        if self._backend_scope is not None:
-            self._backend_scope.__exit__(None, None, None)
-            self._backend_scope = None
         if self._own_registry is not None \
                 and telemetry.get_registry() is self._own_registry:
             telemetry.set_registry(None)

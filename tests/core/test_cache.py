@@ -309,6 +309,22 @@ class TestResultCache:
         with pytest.raises(CacheError, match="refusing"):
             other.lookup()
 
+    def test_a_miss_probes_at_most_one_path_per_suffix(self, tmp_path,
+                                                       monkeypatch):
+        # A memory-only miss never touches the filesystem; a disk miss
+        # checks <key>.json and <key>.npz once each.
+        probed = []
+        real_exists = os.path.exists
+        monkeypatch.setattr(os.path, "exists",
+                            lambda path: probed.append(path)
+                            or real_exists(path))
+        assert ResultCache().spec("demo", {}).lookup() == (False, None)
+        assert probed == []
+        spec = ResultCache(cache_dir=str(tmp_path)).spec("demo", {})
+        assert spec.lookup() == (False, None)
+        assert probed == [os.path.join(str(tmp_path), spec.key() + suffix)
+                          for suffix in (".json", ".npz")]
+
     def test_every_store_fsyncs_its_entry(self, tmp_path, monkeypatch):
         # Every entry is flushed to disk before it is renamed into place.
         synced = []

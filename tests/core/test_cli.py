@@ -246,6 +246,16 @@ class TestServeCommand:
         assert args.timeout == 2.5
         assert args.no_cache
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"), ("--timeout", "-1"), ("--retries", "0")])
+    def test_parser_rejects_bad_values(self, flag, value, capsys):
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            _build_parser().parse_args(["serve", flag, value])
+        assert excinfo.value.code == 2
+        assert "argument %s" % flag in capsys.readouterr().err
+
 
 class TestResilienceFlags:
     @pytest.fixture()
@@ -294,6 +304,37 @@ class TestResilienceFlags:
         assert code == 0
         assert "15 = " in text
         assert json.load(open(ckpt))["kind"] == "shor-order"
+
+
+class TestFlagValidation:
+    """A bad --workers/--timeout/--retries is a usage error (exit 2,
+    naming the flag) whether or not the workload would fan out."""
+
+    @pytest.mark.parametrize("command", [
+        ["distance", "0.5", "1.0"],
+        ["distance", "0.5", "1.0", "1.5", "2.0", "2.5", "3.0"],
+        ["factor", "15"],
+    ], ids=["one-pair", "six-values", "factor"])
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "0"],
+        ["--workers", "many"],
+        ["--timeout", "-1", "--workers", "2"],
+        ["--timeout", "nan"],
+        ["--retries", "-3", "--workers", "2"],
+        ["--retries", "0"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_bad_value_is_a_usage_error(self, command, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(command + flags)
+        assert excinfo.value.code == 2
+        assert "argument %s" % flags[0] in capsys.readouterr().err
+
+    def test_boundary_values_accepted(self):
+        code, text = run_cli(["distance", "0.5", "1.0", "1.5", "2.0",
+                              "--workers", "1", "--retries", "1",
+                              "--timeout", "30"])
+        assert code == 0
+        assert "2 pairs scored" in text
 
 
 class TestCacheFlags:

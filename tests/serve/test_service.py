@@ -18,8 +18,10 @@ from repro.core import telemetry
 from repro.core.cache import ResultCache
 from repro.core.exceptions import (
     JobValidationError,
+    ParallelError,
     QueueFullError,
     QuotaError,
+    ResilienceError,
 )
 from repro.oscillators.distance import OscillatorDistanceUnit
 from repro.serve import JobService, ServeConfig, validate_request
@@ -88,6 +90,19 @@ class TestValidation:
                 service.submit("factor", {"n": 15}, tenant="")
 
         run_service_test(body)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"retries": 0}, ResilienceError),
+        ({"retries": -3}, ResilienceError),
+        ({"timeout": 0.0}, ParallelError),
+        ({"timeout": -1.0}, ParallelError),
+        ({"timeout": float("nan")}, ParallelError),
+        ({"workers": 0}, ParallelError),
+    ])
+    def test_config_rejects_values_every_job_would_fail_on(self, kwargs,
+                                                           error):
+        with pytest.raises(error):
+            ServeConfig(**kwargs)
 
 
 class TestCoalescing:
