@@ -18,9 +18,10 @@ test-parallel:
 		$(PYTHON) -m pytest tests/core/test_cli.py \
 		tests/memcomputing/test_ensemble.py -q
 
-# Recovery suite: retry/backoff, fault injection, checkpoint/resume,
-# then an end-to-end check that a fault plan injected through the
-# environment (REPRO_FAULTS) really reaches the engine.
+# Recovery suite: retry/backoff, fault injection, resuming a killed run
+# from its cache directory, then an end-to-end check that a fault plan
+# injected through the environment (REPRO_FAULTS) really reaches the
+# engine.
 test-resilience:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		$(PYTHON) -m pytest tests/core/test_resilience.py \

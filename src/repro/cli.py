@@ -24,11 +24,13 @@ file, ``--metrics`` prints the metrics summary table after the run (see
 fans the command's hot loop out over the parallel execution engine
 (DMM restart portfolio, Shor order-finding attempts, distance pair
 scoring; see ``docs/parallelism.md``), the shared resilience flags
-``--retries N`` / ``--timeout S`` / ``--checkpoint PATH`` / ``--resume
-PATH`` (per-chunk retry budget, wall-clock budget, and JSON
-checkpoint/resume; see ``docs/resilience.md``), and the shared caching
+``--retries N`` / ``--timeout S`` (per-chunk retry budget and
+wall-clock budget; see ``docs/resilience.md``), and the shared caching
 flags ``--cache-dir PATH`` / ``--no-cache`` (content-addressed result
-reuse across runs; see ``docs/caching.md``).
+reuse across runs; see ``docs/caching.md``).  A chunked run
+(``--workers``, ``--retries`` or ``--timeout``) stores each finished
+chunk in ``--cache-dir`` as it completes, so re-running a killed
+command with the same flags resumes it.
 """
 
 import argparse
@@ -100,21 +102,15 @@ def _add_resilience_flags(subparser):
                            help="per-chunk wall-clock budget in seconds "
                                 "(enforced when worker processes are in "
                                 "use)")
-    subparser.add_argument("--checkpoint", metavar="PATH", default=None,
-                           help="JSON checkpoint updated as chunks "
-                                "finish; an existing file is resumed "
-                                "(finished chunks are skipped)")
-    subparser.add_argument("--resume", metavar="PATH", default=None,
-                           help="resume from this checkpoint file (must "
-                                "exist; implies --checkpoint PATH)")
 
 
 def _add_cache_flags(subparser):
     subparser.add_argument("--cache-dir", metavar="PATH", default=None,
                            help="content-addressed result cache "
                                 "directory; repeated workloads replay "
-                                "stored results bit-identically (see "
-                                "docs/caching.md)")
+                                "stored results bit-identically, and a "
+                                "killed chunked run re-run against it "
+                                "resumes (see docs/caching.md)")
     subparser.add_argument("--no-cache", action="store_true",
                            help="disable result caching for this run "
                                 "(overrides --cache-dir and the "
@@ -141,15 +137,7 @@ def _wants_cache(args):
 def _resilience_kwargs(args):
     """The resilience flags as call-site keyword arguments."""
     return {"retry": getattr(args, "retries", None),
-            "timeout": getattr(args, "timeout", None),
-            "checkpoint": getattr(args, "checkpoint", None),
-            "resume_from": getattr(args, "resume", None)}
-
-
-def _wants_resilience(args):
-    """True when any resilience flag was given."""
-    return any(value is not None
-               for value in _resilience_kwargs(args).values())
+            "timeout": getattr(args, "timeout", None)}
 
 
 @contextlib.contextmanager
@@ -370,13 +358,13 @@ def _run_solve(args, out):
     formula = load_dimacs(args.path)
     out.write("instance: %d variables, %d clauses\n"
               % (formula.num_variables, formula.num_clauses))
-    from .core.parallel import DEFAULT_CHUNKS, resolve_workers, wants_fanout
+    from .core.parallel import DEFAULT_CHUNKS, is_chunked, resolve_workers
 
     workers = resolve_workers(getattr(args, "workers", None))
     if args.solver == "dmm":
         from .memcomputing.solver import DmmSolver, solve_portfolio
 
-        if wants_fanout(workers) or _wants_resilience(args) \
+        if is_chunked(workers, **_resilience_kwargs(args)) \
                 or _wants_cache(args):
             # The attempt count shapes the portfolio workload (and so
             # its result): it must come from the request, never from the
@@ -435,16 +423,10 @@ def _run_factor(args, out):
     if args.method == "shor":
         from .quantum.algorithms.shor import shor_factor
 
-        # find_order's checkpoint is a rolling file pinned to the base
-        # and RNG state, so --resume is just the same path.
-        checkpoint = getattr(args, "checkpoint", None) \
-            or getattr(args, "resume", None)
         result = shor_factor(args.n, rng=args.seed,
                              workers=getattr(args, "workers", None),
-                             timeout=getattr(args, "timeout", None),
-                             retry=getattr(args, "retries", None),
-                             checkpoint=checkpoint,
-                             cache=_cache_arg(args))
+                             cache=_cache_arg(args),
+                             **_resilience_kwargs(args))
         if not result.succeeded:
             out.write("no factors found (try another seed)\n")
             return 1

@@ -18,7 +18,7 @@ from .cnf import Clause, CnfFormula, parse_dimacs
 from .parallel import ParallelMap, TaskFailure, parallel_map
 from .profiling import Profile, ProfileSink, record_throughput
 from .provenance import host_provenance
-from .resilience import Checkpointer, FaultPlan, RetryPolicy, use_faults
+from .resilience import FaultPlan, RetryPolicy, use_faults
 from .integrators import (
     Trajectory,
     integrate_adaptive,
@@ -53,7 +53,6 @@ __all__ = [
     "ParallelMap",
     "TaskFailure",
     "parallel_map",
-    "Checkpointer",
     "FaultPlan",
     "RetryPolicy",
     "use_faults",

@@ -10,11 +10,11 @@ library's expensive kernels -- statevector shot loops, oscillator ODE
 sweeps, DMM ensembles:
 
 * :func:`fingerprint` / :func:`cache_key` -- the *content address*: a
-  workload is identified by the same fingerprint the
-  :class:`~repro.core.resilience.Checkpointer` already computes (kind,
-  physics parameters, RNG spawn state) plus a digest of the source code
-  that computes that kind (:func:`code_version`), canonically
-  JSON-serialized and hashed.  Two runs share a cache entry exactly
+  workload is identified by its kind, its physics parameters and input
+  content, its RNG spawn state
+  (:func:`~repro.core.resilience.rng_fingerprint`), and a digest of the
+  source code that computes that kind (:func:`code_version`),
+  canonically JSON-serialized and hashed.  Two runs share a cache entry exactly
   when that fingerprint says they would produce bit-identical results.
   Bulky payloads enter the fingerprint as content hashes: arrays by
   their raw bytes (:func:`array_fingerprint`), anything else through
@@ -34,6 +34,12 @@ sweeps, DMM ensembles:
   encode/decode) that :meth:`repro.core.parallel.ParallelMap.map`
   consumes for chunk-level caching: a cached chunk skips dispatch
   entirely and its stored result fills the output slot bit-identically.
+  Because finished chunks are stored as they complete, a cache
+  directory is also a run's checkpoint: re-running a killed chunked
+  call against it executes only the chunks it is missing.
+* :func:`cached_call` -- the whole-call cache of an inline kernel call
+  (:func:`repro.core.parallel.run_workload` routes every kernel entry
+  point through it or through the chunk-level cache).
 
 Cache invisibility
 ------------------
@@ -54,11 +60,12 @@ an uncached call hashes nothing.
 Two rules keep the contract honest.  First, workloads whose RNG
 argument cannot be fingerprinted deterministically (``rng=None`` means
 fresh OS entropy) are *never* cached -- :func:`spec_for` returns None
-for them.  Second, kernel-level (whole-call) caching only engages for
-integer-seed RNG arguments (:func:`cacheable_seed`): skipping execution
-would leave a caller-supplied generator un-advanced, visibly changing
-downstream draws.  Chunk-level caching has no such restriction, because
-the per-chunk generators are spawned (advancing the parent identically)
+for them -- so they can never be resumed either.  Second, kernel-level
+(whole-call) caching only engages for integer-seed RNG arguments
+(:func:`cacheable_seed`): skipping execution would leave a
+caller-supplied generator un-advanced, visibly changing downstream
+draws.  Chunk-level caching has no such restriction, because the
+per-chunk generators are spawned (advancing the parent identically)
 whether or not the chunks then execute.
 
 Failures are never cached: a chunk that raised, timed out, or failed
@@ -74,12 +81,12 @@ which tier answered: ``memory``, ``disk``, or ``miss``) and
 ``cache.store``.  Enable a cache process-wide with the
 ``REPRO_CACHE_DIR`` environment variable, scoped with :func:`use_cache`,
 or per call with the ``cache=`` keyword the kernel entry points accept;
-the CLI exposes ``--cache-dir`` / ``--no-cache`` /
-``--cache-disk-bytes``.  The disk tier is unbounded by default (CLI
-compatibility); give it a byte budget with ``max_disk_bytes=`` or the
-``REPRO_CACHE_DISK_BYTES`` environment variable and the
-least-recently-used entries are evicted once a store exceeds it.  See
-``docs/caching.md``.
+the CLI exposes ``--cache-dir`` / ``--no-cache``.  The disk tier is
+unbounded by default; give it a byte budget with
+``ResultCache(max_disk_bytes=)`` or the ``REPRO_CACHE_DISK_BYTES``
+environment variable (which also covers the CLI's ``--cache-dir``) and
+the least-recently-used entries are evicted once a store exceeds it.
+See ``docs/caching.md``.
 """
 
 import collections
@@ -94,7 +101,7 @@ import numpy as np
 
 from . import telemetry
 from .exceptions import CacheError
-from .resilience import jsonable
+from .resilience import jsonable, rng_fingerprint
 
 #: Format marker stored in (and required of) every cache entry.
 CACHE_FORMAT = "repro-cache-v1"
@@ -220,9 +227,8 @@ def formula_fingerprint(formula):
 def fingerprint(kind, meta):
     """The canonical workload-fingerprint document for ``(kind, meta)``.
 
-    The same shape the :class:`~repro.core.resilience.Checkpointer`
-    records (kind + JSON-able meta), extended with the digest of the
-    code that computes ``kind`` (:func:`code_version`).  Hash it with
+    The kind and its JSON-able meta, plus the digest of the code that
+    computes ``kind`` (:func:`code_version`).  Hash it with
     :func:`cache_key` to get the content address.
     """
     return {"format": CACHE_FORMAT,
@@ -568,8 +574,7 @@ class CacheSpec:
     The object call sites hand to
     :meth:`repro.core.parallel.ParallelMap.map` (chunk-level) or use
     directly (kernel-level).  ``encode``/``decode`` translate one value
-    to/from its JSON form, mirroring the
-    :class:`~repro.core.resilience.Checkpointer` codec convention.
+    to/from its JSON form.
     """
 
     __slots__ = ("cache", "kind", "doc", "encode", "decode")
@@ -728,3 +733,46 @@ def spec_for(cache, kind, meta, encode=None, decode=None):
         if not _meta_is_deterministic(meta):
             return None
         return cache.spec(kind, meta, encode=encode, decode=decode)
+
+
+#: The ``rng`` default of :func:`cached_call` and
+#: :func:`repro.core.parallel.run_workload`: the kernel draws no random
+#: numbers, so every call of it is deterministic and cacheable.
+NO_RNG = object()
+
+
+def seeded_meta(meta, rng, **extra):
+    """``meta()`` plus ``extra`` and, for a kernel with an RNG argument,
+    that argument's fingerprint under ``"rng"``.
+
+    Call it before spawning child generators from ``rng`` -- spawning
+    advances the spawn state the fingerprint records.
+    """
+    meta = dict(meta(), **extra)
+    if rng is not NO_RNG:
+        meta["rng"] = rng_fingerprint(rng)
+    return meta
+
+
+def cached_call(kind, compute, meta, rng=NO_RNG, cache=None, encode=None,
+                decode=None):
+    """``compute()``, or the stored result of an identical earlier call.
+
+    The whole-call cache: one entry of ``kind`` keyed on
+    :func:`seeded_meta`.  It engages only for kernels that draw no
+    random numbers (``rng`` left at :data:`NO_RNG`) or take an integer
+    seed (:func:`cacheable_seed`); ``cache`` is resolved by
+    :func:`resolve_cache`.
+    """
+    spec = None
+    if rng is NO_RNG or cacheable_seed(rng):
+        spec = spec_for(cache, kind, lambda: seeded_meta(meta, rng),
+                        encode=encode, decode=decode)
+    if spec is not None:
+        hit, value = spec.lookup()
+        if hit:
+            return value
+    value = compute()
+    if spec is not None:
+        spec.store(value)
+    return value

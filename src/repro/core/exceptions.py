@@ -36,8 +36,8 @@ class ParallelError(CoreError):
 
 
 class ResilienceError(CoreError):
-    """Retry/checkpoint misuse (bad policy, unreadable or mismatched
-    checkpoint, malformed fault spec)."""
+    """Retry or fault-injection misuse (bad retry policy or budget,
+    malformed fault spec)."""
 
 
 class CacheError(CoreError):

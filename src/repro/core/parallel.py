@@ -10,14 +10,20 @@ the host-side scheduler for those bags:
   that depends only on the task count and the chunk size, **never** on
   the worker count, so results are bit-identical whether a run uses one
   worker or eight,
+* :func:`run_workload` -- the one execution path behind every kernel
+  entry point (``measure_pairs``, FAST ``detect``, ``solve_ensemble``,
+  ``solve_portfolio``, ``QuantumRuntime.run``, ``find_order``): it picks
+  the inline or the chunked path (:func:`is_chunked`), fingerprints the
+  workload for the cache, spawns one child stream per chunk, and runs
+  the chunks on a :class:`ParallelMap`,
 * :class:`ParallelMap` -- maps a module-level function over chunk
   payloads on a bounded set of worker processes, with ordered result
   collection, per-task timeouts, crash recovery (a dead worker marks
   its chunk failed and the run continues), per-chunk retries
-  (:class:`~repro.core.resilience.RetryPolicy`), result validation,
-  checkpoint/resume (:class:`~repro.core.resilience.Checkpointer`), and
+  (:class:`~repro.core.resilience.RetryPolicy`), result validation, and
   content-addressed chunk reuse (:class:`~repro.core.cache.CacheSpec` --
-  a cached chunk skips dispatch and replays bit-identically),
+  a cached chunk skips dispatch and replays bit-identically, so a
+  killed run re-run against the same cache directory resumes),
 * :class:`WorkerPool` -- the persistent worker processes behind
   :class:`ParallelMap`: spawned once per (start method), reused across
   consecutive ``map()`` calls so the fork/import cost is amortized over
@@ -43,13 +49,13 @@ compute.
 
 Seeding contract
 ----------------
-Callers split their workload into chunks first, then spawn one child
-generator per chunk with :func:`repro.core.rngs.spawn_rngs` and ship the
-generator inside the chunk payload.  Because both the chunking and the
-spawn are functions of ``(task count, chunk size, root seed)`` alone,
-the worker count only decides *where* a chunk runs, never *what* it
-computes -- the determinism suite (``tests/core/test_parallel.py``)
-holds the library to that.
+:func:`run_workload` splits a workload into chunks first, then spawns
+one child generator per chunk with :func:`repro.core.rngs.spawn_rngs`
+and ships the generator inside the chunk payload.  Because both the
+chunking and the spawn are functions of ``(task count, chunk size, root
+seed)`` alone, the worker count only decides *where* a chunk runs,
+never *what* it computes -- the determinism suite
+(``tests/core/test_parallel.py``) holds the library to that.
 
 Retries preserve the contract: a re-dispatched chunk re-runs its
 *original* payload (workers never mutate the parent's copy; the serial
@@ -74,16 +80,12 @@ the ``parallel.worker_seconds`` histogram, and wraps each map in a
 Serial fallback
 ---------------
 ``workers=1`` (the default, also reachable through the ``REPRO_WORKERS``
-environment variable), a single-task map, or a platform without a usable
-multiprocessing start method all run the same chunk functions inline in
-the parent process -- same results, no subprocesses, no pickling.  One
-exception: a ``timeout=`` forces the pool path even at ``workers=1``,
-because only a subprocess can be killed past its deadline -- a wedged
-inline call would hang the caller (fatal for a long-running service).
-Only a platform with *no* usable start method still runs timed maps
-inline; the engine says so once per process with a ``RuntimeWarning``
-plus a ``parallel.timeout_unenforced`` counter/event instead of
-silently ignoring the budget.
+environment variable) or a single-task map runs the same chunk functions
+inline in the parent process -- same results, no subprocesses, no
+pickling.  One exception: a ``timeout=`` forces the pool path even at
+``workers=1``, because only a subprocess can be killed past its
+deadline -- a wedged inline call would hang the caller (fatal for a
+long-running service).
 
 Thread safety
 -------------
@@ -103,10 +105,11 @@ import os
 import queue as queue_module
 import threading
 import time
-import warnings
 
+from . import cache as result_cache
 from . import resilience, shm, telemetry, tracing
 from .exceptions import ParallelError
+from .rngs import spawn_rngs
 from .tracing import ListSink
 
 #: Default number of chunks a workload is split into when the caller
@@ -173,6 +176,19 @@ def wants_fanout(workers):
     """
     workers = resolve_workers(workers)
     return workers == AUTO or workers > 1
+
+
+def is_chunked(workers=None, chunk_size=None, timeout=None, retry=None):
+    """True when a kernel call takes the chunked path of :func:`run_workload`.
+
+    A call is chunked when it fans out (:func:`wants_fanout`), sets a
+    chunk size, or asks for a timeout or retries (only chunks can be
+    timed out and re-dispatched); otherwise it runs inline.  The two
+    paths draw different random streams, so fingerprints of work built
+    on a kernel call record this choice.
+    """
+    return (wants_fanout(workers) or chunk_size is not None
+            or timeout is not None or retry is not None)
 
 
 def default_chunk_size(total):
@@ -249,51 +265,15 @@ class TaskFailure:
             self.index, self.reason, self.message)
 
 
-def _pick_context(start_method=None):
-    """A usable multiprocessing context, or None (forces serial).
+def _pick_context():
+    """The multiprocessing context for the worker pool.
 
     Prefers ``fork`` (cheap, inherits the parent's loaded state); falls
-    back to ``spawn`` elsewhere; returns None when the platform offers
-    neither -- :class:`ParallelMap` then degrades gracefully to serial.
+    back to ``spawn``, which every CPython platform offers.
     """
-    methods = multiprocessing.get_all_start_methods()
-    if start_method is not None:
-        if start_method not in methods:
-            return None
-        return multiprocessing.get_context(start_method)
-    for method in ("fork", "spawn"):
-        if method in methods:
-            return multiprocessing.get_context(method)
-    return None
-
-
-_timeout_warning_emitted = False
-
-
-def _reset_timeout_warning():
-    """Re-arm the one-time serial-timeout warning (tests only)."""
-    global _timeout_warning_emitted
-    _timeout_warning_emitted = False
-
-
-def _warn_timeout_unenforced(timeout, registry):
-    """Flag a ``timeout=`` that the serial path cannot enforce.
-
-    The telemetry counter/event fire on every affected ``map()`` call;
-    the ``RuntimeWarning`` fires once per process so a looped serial
-    caller is not spammed.
-    """
-    global _timeout_warning_emitted
-    if registry.enabled:
-        registry.counter("parallel.timeout_unenforced").inc()
-        telemetry.event("parallel.timeout_unenforced", timeout=timeout)
-    if not _timeout_warning_emitted:
-        _timeout_warning_emitted = True
-        warnings.warn(
-            "ParallelMap(timeout=%g) is not enforceable without a usable "
-            "multiprocessing start method; the task(s) will run inline "
-            "to completion" % timeout,
-            RuntimeWarning, stacklevel=3)
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context("spawn")
 
 
 def _pool_worker_main(in_queue, out_queue):
@@ -663,14 +643,7 @@ class ParallelMap:
         deadline is terminated and its chunk marked failed
         (``reason="timeout"``).  Setting a timeout routes the map
         through the worker pool even at ``workers=1`` so the budget is
-        always enforced; only a platform with no usable multiprocessing
-        start method still runs inline, and there the engine warns once
-        (``parallel.timeout_unenforced``) instead of silently dropping
-        the budget.
-    start_method : str or None
-        Force a multiprocessing start method (mostly for tests); the
-        default prefers ``fork`` and degrades to serial when the
-        platform has no usable method.
+        always enforced.
 
     Notes
     -----
@@ -679,15 +652,14 @@ class ParallelMap:
     contract keeps callers portable to ``spawn`` platforms).
     """
 
-    def __init__(self, workers=None, timeout=None, start_method=None):
+    def __init__(self, workers=None, timeout=None):
         self.workers = resolve_workers(workers)
         if timeout is not None and timeout <= 0:
             raise ParallelError("timeout must be positive, got %r" % timeout)
         self.timeout = timeout
-        self.start_method = start_method
 
     def map(self, fn, tasks, on_error="raise", retry=None, validate=None,
-            checkpoint=None, cache=None):
+            cache=None):
         """Run ``fn`` over ``tasks``; return results in task order.
 
         Parameters
@@ -710,22 +682,14 @@ class ParallelMap:
             the result into ``TaskFailure(reason="invalid")`` --
             retryable -- so silently corrupted output (NaNs from a sick
             accelerator) is caught instead of propagated.
-        checkpoint : Checkpointer, optional
-            Chunk results are recorded as they complete
-            (:meth:`~repro.core.resilience.Checkpointer.record`) and
-            chunks already completed in a resumed checkpoint are
-            skipped -- their recorded results fill the output slots
-            without re-execution.
         cache : CacheSpec, optional
             Content-addressed chunk reuse
             (:class:`~repro.core.cache.CacheSpec`).  Before dispatch,
-            each still-pending chunk index is looked up under the
-            workload fingerprint: hits fill their output slots (and the
-            checkpoint, when one is active) without executing; every
-            freshly computed, validated chunk value is stored for the
-            next run.  Failures are never cached.  The checkpoint is
-            consulted first -- a resumed run trusts its own recorded
-            results over the shared cache.
+            each chunk index is looked up under the workload
+            fingerprint: hits fill their output slots without
+            executing; every freshly computed, validated chunk value is
+            stored as it completes.  Failures are never cached, so a
+            map that failed re-runs only its failed chunks.
         """
         if on_error not in ("raise", "return"):
             raise ParallelError(
@@ -738,19 +702,11 @@ class ParallelMap:
         total = len(tasks)
         registry = telemetry.get_registry()
         outcomes = {}
-        if checkpoint is not None:
-            for index, value in checkpoint.completed().items():
-                if 0 <= index < total:
-                    outcomes[index] = value
         if cache is not None:
             for index in range(total):
-                if index in outcomes:
-                    continue
                 hit, value = cache.lookup(index)
                 if hit:
                     outcomes[index] = value
-                    if checkpoint is not None:
-                        checkpoint.record(index, value)
         pending = [(index, task) for index, task in enumerate(tasks)
                    if index not in outcomes]
         if self.workers == AUTO:
@@ -768,9 +724,7 @@ class ParallelMap:
             # deadline; a wedged inline call would hang the caller.
             fanout = workers > 1 \
                 or (self.timeout is not None and bool(pending))
-            context = _pick_context(self.start_method) if fanout else None
-            if context is None and self.timeout is not None and pending:
-                _warn_timeout_unenforced(self.timeout, registry)
+            context = _pick_context() if fanout else None
             copy_tasks = retry is not None or plan is not None
             attempt = 1
             while pending:
@@ -805,8 +759,6 @@ class ParallelMap:
                         outcomes[index] = value
                     else:
                         outcomes[index] = value
-                        if checkpoint is not None:
-                            checkpoint.record(index, value)
                         if cache is not None:
                             cache.store(value, index)
                 if retry_pairs:
@@ -816,8 +768,6 @@ class ParallelMap:
                         time.sleep(delay)
                 pending = retry_pairs
                 attempt += 1
-            if checkpoint is not None:
-                checkpoint.flush()
             results = [outcomes[index] for index in range(total)]
             failures = [r for r in results if isinstance(r, TaskFailure)]
             if map_span:
@@ -938,3 +888,81 @@ def parallel_map(fn, tasks, workers=None, timeout=None, on_error="raise",
     """One-shot convenience wrapper around :class:`ParallelMap`."""
     return ParallelMap(workers=workers, timeout=timeout).map(
         fn, tasks, on_error=on_error, retry=retry)
+
+
+def run_workload(kind, fn, task, count, merge, meta, inline=None,
+                 rng=result_cache.NO_RNG, encode=None, decode=None,
+                 validate=None, on_error="raise", workers=None,
+                 chunk_size=None, timeout=None, retry=None, cache=None):
+    """Run one kernel call inline or chunked; returns its merged result.
+
+    The inline path (taken when :func:`is_chunked` is false and the
+    kernel has an ``inline`` form) calls ``inline()`` once in this
+    process, on the caller's own RNG stream, behind the whole-call cache
+    (:func:`repro.core.cache.cached_call`, entry kind ``kind``).  The
+    chunked path splits the ``count`` work units into
+    :func:`chunk_sizes` chunks, spawns one child generator per chunk
+    from ``rng`` (after fingerprinting it), and maps ``fn`` over the
+    chunk payloads on a :class:`ParallelMap`, caching per chunk under
+    ``kind + "-chunk"``.  Both the chunking and the spawn depend only on
+    ``(count, chunk_size, rng)``, so the result is the same for every
+    worker count; and because finished chunks are stored as they
+    complete, re-running a failed or killed chunked call against the
+    same cache directory executes only the chunks it is missing.
+
+    Parameters
+    ----------
+    kind : str
+        Cache kind of the workload.
+    fn : callable
+        Module-level chunk function (worker payloads must pickle).
+    task : callable
+        ``task(start, stop, rng)``: the payload for work units
+        ``[start, stop)`` with the chunk's generator (None for a kernel
+        without an RNG).
+    count : int
+        Work units: pairs, pixels, trajectories, shots, attempts.
+    merge : callable
+        The chunk results, in order, into the call's result.
+    meta : callable
+        Zero-argument workload fingerprint meta, evaluated only when a
+        cache is on; the RNG fingerprint and (chunked) the chunk sizes
+        are added to it.
+    inline : callable or None
+        The whole call on the caller's stream, returning what ``merge``
+        returns; None for a kernel that is always chunked.
+    rng : None, int, Generator, or NO_RNG
+        The caller's RNG argument; leave it at
+        :data:`~repro.core.cache.NO_RNG` for a kernel that draws no
+        random numbers.
+    encode, decode, validate, on_error, timeout, retry
+        Per-chunk codec, result check, and failure handling (see
+        :meth:`ParallelMap.map`); the codec also applies to the
+        whole-call entry.
+    workers, chunk_size, cache
+        Worker count, work units per chunk, and the ``cache=`` argument
+        (:func:`repro.core.cache.resolve_cache`).
+    """
+    if inline is not None and not is_chunked(workers, chunk_size, timeout,
+                                             retry):
+        return result_cache.cached_call(kind, inline, meta, rng=rng,
+                                        cache=cache, encode=encode,
+                                        decode=decode)
+    sizes = chunk_sizes(count, chunk_size)
+    # spec_for evaluates the meta right away: the RNG is fingerprinted
+    # before spawn_rngs advances it.
+    spec = result_cache.spec_for(
+        cache, kind + "-chunk",
+        lambda: result_cache.seeded_meta(meta, rng, sizes=sizes),
+        encode=encode, decode=decode)
+    streams = [None] * len(sizes) if rng is result_cache.NO_RNG \
+        else spawn_rngs(rng, len(sizes))
+    tasks = []
+    start = 0
+    for size, stream in zip(sizes, streams):
+        tasks.append(task(start, start + size, stream))
+        start += size
+    values = ParallelMap(workers=workers, timeout=timeout).map(
+        fn, tasks, on_error=on_error, retry=retry, validate=validate,
+        cache=spec)
+    return merge(values)

@@ -1,4 +1,4 @@
-"""Failure handling for the fan-out paths: retries, faults, checkpoints.
+"""Failure handling for the fan-out paths: retries and injected faults.
 
 The paper frames all three computing models as *accelerators* beside a
 classical host (Fig. 1/2); real accelerator orchestration assumes
@@ -16,11 +16,13 @@ crash); this module turns detection into *recovery*:
   coordinates, enabled programmatically (:func:`use_faults`), through
   the ``REPRO_FAULTS`` environment variable, or through the
   ``fault_plan`` pytest fixture -- recovery semantics are *proved*
-  under injected faults instead of hoped for,
-* :class:`Checkpointer` -- a JSON chunk-result checkpoint that
-  :meth:`repro.core.parallel.ParallelMap.map` updates as chunks
-  complete and consults on the next run to skip finished chunks, so a
-  killed long run resumes instead of restarting.
+  under injected faults instead of hoped for.
+
+A killed long run resumes through the result cache, not through a
+separate checkpoint: chunked calls store each finished chunk in the
+``cache=`` directory as it completes, so re-running the same call
+against that directory executes only the missing chunks (see
+:func:`repro.core.parallel.run_workload` and ``docs/resilience.md``).
 
 Determinism under retry
 -----------------------
@@ -35,21 +37,6 @@ bit.  :func:`coordinate_rng` additionally derives a fresh stream from
 ``(root seed, chunk index, attempt)`` for callers (and the backoff
 jitter) that want per-attempt randomness without breaking the
 contract.
-
-Checkpoint file format
-----------------------
-One JSON document (written atomically via rename)::
-
-    {"format": "repro-checkpoint-v1",
-     "kind": "dmm-ensemble",
-     "meta": {... workload fingerprint, incl. RNG bookkeeping ...},
-     "chunks": {"0": <encoded chunk result>, "3": ...}}
-
-``meta`` must match between the writing and the resuming run (same
-seed, same chunking, same physics parameters); a mismatch raises
-:class:`~repro.core.exceptions.ResilienceError` unless the caller
-opted into ``restart_on_mismatch`` (used by rolling checkpoints such
-as Shor's per-base order finding).  See ``docs/resilience.md``.
 """
 
 import contextlib
@@ -59,16 +46,12 @@ import time
 
 import numpy as np
 
-from . import telemetry
 from .exceptions import InjectedFault, ResilienceError
 from .rngs import spawn_rngs
 
 #: Environment variable carrying a fault-plan spec
 #: (``"chunk:attempt:action[,chunk:attempt:action...]"``).
 FAULTS_ENV = "REPRO_FAULTS"
-
-#: The checkpoint document's format marker.
-CHECKPOINT_FORMAT = "repro-checkpoint-v1"
 
 #: Mask keeping SeedSequence entropy words non-negative 64-bit ints.
 _SEED_MASK = (1 << 63) - 1
@@ -386,17 +369,17 @@ def run_task(fn, task, chunk_index, attempt, plan, serial=False):
     return value
 
 
-# -- checkpoint / resume ---------------------------------------------------
+# -- workload fingerprints -------------------------------------------------
 
 def rng_fingerprint(seed_or_rng):
-    """JSON-able description of an RNG argument for checkpoint metadata.
+    """JSON-able description of an RNG argument for cache metadata.
 
-    Resuming a checkpointed run only reproduces the uninterrupted run
-    when the per-chunk streams respawn identically, which requires the
-    same root seed (or a generator in the same spawn state).  This
-    fingerprint captures exactly that, so :class:`Checkpointer` can
-    refuse a mismatched resume.  Call it *before* spawning child
-    generators -- spawning advances ``n_children_spawned``.
+    A stored chunk only reproduces the uninterrupted run when the
+    per-chunk streams respawn identically, which requires the same root
+    seed (or a generator in the same spawn state).  This fingerprint
+    captures exactly that, so a cache entry is only reused by a run
+    that would compute it bit-identically.  Call it *before* spawning
+    child generators -- spawning advances ``n_children_spawned``.
     """
     if seed_or_rng is None:
         return None
@@ -421,7 +404,7 @@ def rng_fingerprint(seed_or_rng):
 def jsonable(value):
     """``value`` if it survives a JSON round trip, else its ``repr``.
 
-    Checkpoint metadata must serialize; arbitrary caller kwargs (numpy
+    Cache metadata must serialize; arbitrary caller kwargs (numpy
     scalars, parameter objects) degrade to their repr, which still
     mismatch-detects reliably.
     """
@@ -429,137 +412,3 @@ def jsonable(value):
         return json.loads(json.dumps(value))
     except (TypeError, ValueError):
         return repr(value)
-
-
-class Checkpointer:
-    """Chunk-result checkpoint file: record as you go, skip on resume.
-
-    Parameters
-    ----------
-    path : str
-        Checkpoint file to write (atomically, via rename).  When it
-        already exists it is also the resume source unless
-        ``resume_from`` names another file.
-    kind : str
-        Workload tag (``"dmm-ensemble"``, ``"quantum-shots"``, ...);
-        resuming a file of a different kind is an error.
-    meta : dict, optional
-        Workload fingerprint (chunking, seeds via
-        :func:`rng_fingerprint`, physics parameters).  Must be
-        JSON-able and must match the resumed file's.
-    encode, decode : callable, optional
-        Map one chunk result to/from its JSON representation
-        (default: identity).
-    every : int
-        Flush to disk after this many newly recorded chunks (1 ==
-        every chunk; the final flush always happens).
-    resume_from : str, optional
-        Explicit resume source (must exist); defaults to ``path`` when
-        that exists.
-    restart_on_mismatch : bool
-        Start empty instead of raising when the resume source's
-        kind/meta disagree -- for rolling checkpoint files that
-        legitimately change workloads (e.g. Shor's per-base order
-        finding).
-
-    Telemetry: every flush increments ``resilience.checkpoints`` and
-    adds the document size to ``resilience.checkpoint_bytes``;
-    restored chunks count into ``resilience.chunks_restored``.
-    """
-
-    def __init__(self, path, kind, meta=None, encode=None, decode=None,
-                 every=1, resume_from=None, restart_on_mismatch=False):
-        if int(every) < 1:
-            raise ResilienceError("every must be >= 1, got %r" % (every,))
-        self.path = str(path)
-        self.kind = str(kind)
-        self.meta = jsonable(dict(meta) if meta else {})
-        self._encode = encode if encode is not None else (lambda value: value)
-        self._decode = decode if decode is not None else (lambda value: value)
-        self.every = int(every)
-        self.restart_on_mismatch = bool(restart_on_mismatch)
-        self._completed = {}
-        self._dirty = 0
-        if resume_from is not None and not os.path.exists(resume_from):
-            raise ResilienceError(
-                "resume checkpoint %r does not exist" % (resume_from,))
-        source = resume_from if resume_from is not None else (
-            self.path if os.path.exists(self.path) else None)
-        if source is not None:
-            self._load(source)
-
-    def _load(self, source):
-        try:
-            with open(source) as handle:
-                document = json.load(handle)
-        except (OSError, ValueError) as error:
-            raise ResilienceError(
-                "cannot read checkpoint %r: %s" % (source, error))
-        if document.get("format") != CHECKPOINT_FORMAT:
-            raise ResilienceError(
-                "checkpoint %r has format %r, expected %r"
-                % (source, document.get("format"), CHECKPOINT_FORMAT))
-        file_fingerprint = {"kind": document.get("kind"),
-                            "meta": jsonable(document.get("meta", {}))}
-        run_fingerprint = {"kind": self.kind, "meta": self.meta}
-        if file_fingerprint != run_fingerprint:
-            if self.restart_on_mismatch:
-                return
-            mismatch = "kind %r != %r" \
-                % (file_fingerprint["kind"], self.kind) \
-                if file_fingerprint["kind"] != self.kind \
-                else "meta %r != %r" % (file_fingerprint["meta"], self.meta)
-            raise ResilienceError(
-                "checkpoint %r does not match this run (%s); refusing "
-                "to resume: checkpoint fingerprint %r != this run's "
-                "fingerprint %r" % (source, mismatch, file_fingerprint,
-                                    run_fingerprint))
-        chunks = document.get("chunks", {})
-        self._completed = {int(index): self._decode(value)
-                           for index, value in chunks.items()}
-        registry = telemetry.get_registry()
-        if registry.enabled and self._completed:
-            registry.counter("resilience.chunks_restored").inc(
-                len(self._completed))
-
-    def completed(self):
-        """Decoded results of the already-finished chunks, by index."""
-        return dict(self._completed)
-
-    def record(self, index, value):
-        """Record one finished chunk; flushes every ``every`` records."""
-        self._completed[int(index)] = value
-        self._dirty += 1
-        if self._dirty >= self.every:
-            self.flush()
-
-    def flush(self):
-        """Write the checkpoint document atomically (no-op when clean)."""
-        if not self._dirty:
-            return
-        document = {
-            "format": CHECKPOINT_FORMAT,
-            "kind": self.kind,
-            "meta": self.meta,
-            "chunks": {str(index): self._encode(value)
-                       for index, value in sorted(self._completed.items())},
-        }
-        payload = json.dumps(document)
-        scratch = self.path + ".tmp"
-        with open(scratch, "w") as handle:
-            handle.write(payload)
-            handle.write("\n")
-        os.replace(scratch, self.path)
-        self._dirty = 0
-        registry = telemetry.get_registry()
-        if registry.enabled:
-            registry.counter("resilience.checkpoints").inc()
-            registry.counter("resilience.checkpoint_bytes").inc(
-                len(payload) + 1)
-
-    def __len__(self):
-        return len(self._completed)
-
-    def __repr__(self):
-        return "Checkpointer(path=%r, kind=%s, completed=%d)" % (
-            self.path, self.kind, len(self._completed))

@@ -18,9 +18,9 @@ import time
 import numpy as np
 
 from ..core import cache as result_cache
-from ..core import integrators, parallel, profiling, resilience
+from ..core import integrators, parallel, profiling
 from ..core.exceptions import MemcomputingError
-from ..core.rngs import make_rng, spawn_rngs
+from ..core.rngs import make_rng
 from .dynamics import DmmSystem
 
 
@@ -244,8 +244,8 @@ def _integrate_batch(formula, batch, dt, max_steps, check_every, params,
 def _integrate_chunk(payload):
     """Worker entry point: integrate one trajectory block.
 
-    Module-level (picklable) so :class:`repro.core.parallel.ParallelMap`
-    can ship it to worker processes.
+    Module-level (picklable) so the parallel engine can ship it to
+    worker processes.
     """
     (formula, batch, dt, max_steps, check_every, params, x_l_max,
      rng) = payload
@@ -267,32 +267,9 @@ def _decode_steps(values):
     return np.asarray(values, dtype=float)
 
 
-def _ensemble_meta(batch, dt, max_steps, check_every, params, x_l_max,
-                   rng, sizes=None):
-    """Workload fingerprint meta shared by the checkpoint and the cache.
-
-    The cache additionally hashes the formula *content*
-    (:func:`_with_formula`): a checkpoint file is private to one run; a
-    cache directory is shared across runs, so the key must distinguish
-    different formulas with identical solver settings.
-    """
-    meta = {"batch": int(batch), "dt": dt, "max_steps": int(max_steps),
-            "check_every": int(check_every), "params": params,
-            "x_l_max": x_l_max, "rng": resilience.rng_fingerprint(rng)}
-    if sizes is not None:
-        meta["sizes"] = sizes
-    return meta
-
-
-def _with_formula(meta, formula):
-    """Cache meta: ``meta`` plus the formula's content hash."""
-    return dict(meta, formula=result_cache.formula_fingerprint(formula))
-
-
 def solve_ensemble(formula, batch=32, dt=0.08, max_steps=100_000,
                    check_every=25, params=None, x_l_max=None, rng=None,
                    workers=None, chunk_size=None, timeout=None, retry=None,
-                   checkpoint=None, resume_from=None, checkpoint_every=1,
                    cache=None):
     """Run ``batch`` trajectories; returns an :class:`EnsembleResult`.
 
@@ -305,10 +282,11 @@ def solve_ensemble(formula, batch=32, dt=0.08, max_steps=100_000,
         Worker processes for the trajectory blocks (None: the
         ``REPRO_WORKERS`` environment default, normally 1 == serial).
     chunk_size : int or None
-        Trajectories per block.  ``workers=1`` with ``chunk_size=None``
-        (and no resilience options) keeps the historical single-stream
-        path (all ``batch`` trajectories drawn from one generator); any
-        other combination uses the chunked path, whose chunking and
+        Trajectories per block.  A call that sets none of ``workers``
+        (> 1), ``chunk_size``, ``timeout`` and ``retry`` runs inline on
+        a single stream (all ``batch`` trajectories drawn from one
+        generator); any other call is chunked
+        (:func:`repro.core.parallel.run_workload`), and its chunking and
         per-chunk RNG spawning depend only on ``(batch, chunk_size,
         rng)`` -- results are bit-identical for every worker count (the
         determinism suite checks serial vs. 2 vs. 4 workers).
@@ -321,76 +299,35 @@ def solve_ensemble(formula, batch=32, dt=0.08, max_steps=100_000,
         Retry budget per failed block; retried blocks replay their
         original RNG stream, so results stay bit-identical to a
         fault-free run.
-    checkpoint : str or None
-        Path of a JSON checkpoint updated as blocks complete; an
-        existing file is resumed (finished blocks are skipped).  The
-        checkpoint records the workload fingerprint -- batch, chunking,
-        physics parameters, RNG bookkeeping -- and refuses to resume a
-        mismatched run.
-    resume_from : str or None
-        Explicit checkpoint to resume (must exist); defaults to
-        ``checkpoint`` when that file exists.
-    checkpoint_every : int
-        Flush the checkpoint after this many newly finished blocks.
     cache : None, False, str, or ResultCache
         Content-addressed result reuse (:mod:`repro.core.cache`).
         ``None`` consults the active cache (``REPRO_CACHE_DIR`` or
         :func:`repro.core.cache.use_cache`); ``False`` disables.  The
-        serial fast path caches the whole solve-step array (integer
-        seeds only); the chunked path caches per trajectory block.
-        Workloads with ``rng=None`` (fresh entropy) are never cached.
+        inline path caches the whole solve-step array (integer seeds
+        only); the chunked path caches per trajectory block as blocks
+        finish, so a killed chunked run re-run against the same cache
+        directory integrates only its missing blocks.  Workloads with
+        ``rng=None`` (fresh entropy) are never cached.
     """
-    workers = parallel.resolve_workers(workers)
-    resilient = (timeout is not None or retry is not None
-                 or checkpoint is not None or resume_from is not None)
-    if workers == 1 and chunk_size is None and not resilient:
-        spec = None
-        if result_cache.cacheable_seed(rng):
-            spec = result_cache.spec_for(
-                cache, "dmm-ensemble",
-                lambda: _with_formula(
-                    _ensemble_meta(batch, dt, max_steps, check_every,
-                                   params, x_l_max, rng), formula))
-        if spec is not None:
-            hit, solve_steps = spec.lookup()
-            if hit:
-                return EnsembleResult(solve_steps, max_steps)
-        start = time.perf_counter()
-        solve_steps = _integrate_batch(formula, batch, dt, max_steps,
-                                       check_every, params, x_l_max,
-                                       make_rng(rng))
-        result = EnsembleResult(solve_steps, max_steps)
-        profiling.record_throughput("dmm.ensemble.traj_steps",
-                                    result.total_trajectory_steps,
-                                    time.perf_counter() - start)
-        if spec is not None:
-            spec.store(np.asarray(solve_steps, dtype=float))
-        return result
     if batch < 1:
         raise MemcomputingError("batch must be positive")
-    sizes = parallel.chunk_sizes(batch, chunk_size)
-    # Fingerprint the RNG argument before spawn_rngs advances it.
-    meta = _ensemble_meta(batch, dt, max_steps, check_every, params,
-                          x_l_max, rng, sizes=sizes)
-    ckpt = None
-    if checkpoint is not None or resume_from is not None:
-        ckpt = resilience.Checkpointer(
-            checkpoint if checkpoint is not None else resume_from,
-            "dmm-ensemble", meta=meta, encode=_encode_steps,
-            decode=_decode_steps, every=checkpoint_every,
-            resume_from=resume_from)
-    spec = result_cache.spec_for(cache, "dmm-ensemble-chunk",
-                                 lambda: _with_formula(meta, formula),
-                                 encode=_encode_steps,
-                                 decode=_decode_steps)
-    rngs = spawn_rngs(rng, len(sizes))
-    tasks = [(formula, size, dt, max_steps, check_every, params, x_l_max,
-              chunk_rng) for size, chunk_rng in zip(sizes, rngs)]
     start = time.perf_counter()
-    chunks = parallel.ParallelMap(workers=workers, timeout=timeout).map(
-        _integrate_chunk, tasks, retry=retry, validate=_chunk_no_nan,
-        checkpoint=ckpt, cache=spec)
-    result = EnsembleResult(np.concatenate(chunks), max_steps)
+    solve_steps = parallel.run_workload(
+        "dmm-ensemble", _integrate_chunk,
+        lambda low, high, stream: (formula, high - low, dt, max_steps,
+                                   check_every, params, x_l_max, stream),
+        batch, np.concatenate,
+        lambda: {"batch": int(batch), "dt": dt, "max_steps": int(max_steps),
+                 "check_every": int(check_every), "params": params,
+                 "x_l_max": x_l_max,
+                 "formula": result_cache.formula_fingerprint(formula)},
+        inline=lambda: _integrate_batch(formula, batch, dt, max_steps,
+                                        check_every, params, x_l_max,
+                                        make_rng(rng)),
+        rng=rng, encode=_encode_steps, decode=_decode_steps,
+        validate=_chunk_no_nan, workers=workers, chunk_size=chunk_size,
+        timeout=timeout, retry=retry, cache=cache)
+    result = EnsembleResult(solve_steps, max_steps)
     profiling.record_throughput("dmm.ensemble.traj_steps",
                                 result.total_trajectory_steps,
                                 time.perf_counter() - start)

@@ -20,7 +20,7 @@ import numpy as np
 from ..core import cache as result_cache
 from ..core import parallel, profiling, resilience, telemetry
 from ..core.exceptions import DmmConvergenceError
-from ..core.rngs import make_rng, spawn_rngs
+from ..core.rngs import make_rng
 from .dynamics import DmmSystem
 
 
@@ -275,9 +275,7 @@ def _decode_member(doc):
 
 
 def solve_portfolio(formula, attempts=4, rng=None, workers=None,
-                    timeout=None, retry=None, checkpoint=None,
-                    resume_from=None, checkpoint_every=1, cache=None,
-                    **solver_kwargs):
+                    timeout=None, retry=None, cache=None, **solver_kwargs):
     """Race ``attempts`` independent restarts; returns a portfolio result.
 
     The parallel analogue of :class:`DmmSolver`'s ``restart_after``
@@ -289,45 +287,34 @@ def solve_portfolio(formula, attempts=4, rng=None, workers=None,
     winner picked by :attr:`PortfolioResult.best` -- deterministic given
     the seed, whatever ``workers`` is.
 
-    ``timeout`` (seconds per member) and worker crashes mark individual
-    members failed without sinking the portfolio; ``retry`` (attempt
-    budget or :class:`~repro.core.resilience.RetryPolicy`) re-runs a
-    failed member with its original stream before giving up;
-    ``checkpoint``/``resume_from`` (paths) persist finished members to a
-    JSON checkpoint so a killed portfolio resumes instead of restarting;
-    ``cache`` (None / False / path / :class:`~repro.core.cache.ResultCache`)
-    reuses per-member results content-addressed by formula, settings, and
-    RNG fingerprint (:mod:`repro.core.cache`; seeded runs only);
-    ``solver_kwargs`` are forwarded to every member's
-    :class:`DmmSolver`.
+    Every call is chunked, one member per chunk
+    (:func:`repro.core.parallel.run_workload`).  ``timeout`` (seconds
+    per member) and worker crashes mark individual members failed
+    without sinking the portfolio; ``retry`` (attempt budget or
+    :class:`~repro.core.resilience.RetryPolicy`) re-runs a failed member
+    with its original stream before giving up; ``cache`` (None / False /
+    path / :class:`~repro.core.cache.ResultCache`) stores each finished
+    member content-addressed by formula, settings, and RNG fingerprint
+    (:mod:`repro.core.cache`; seeded runs only), so a killed portfolio
+    re-run against the same cache directory integrates only its
+    unfinished members; ``solver_kwargs`` are forwarded to every
+    member's :class:`DmmSolver`.
     """
     if attempts < 1:
         raise ValueError("attempts must be positive, got %r" % attempts)
-    # Fingerprint the RNG argument before spawn_rngs advances it.
-    meta = {"attempts": int(attempts),
-            "solver_kwargs": resilience.jsonable(solver_kwargs),
-            "rng": resilience.rng_fingerprint(rng)}
-    ckpt = None
-    if checkpoint is not None or resume_from is not None:
-        ckpt = resilience.Checkpointer(
-            checkpoint if checkpoint is not None else resume_from,
-            "dmm-portfolio", meta=meta, encode=_encode_member,
-            decode=_decode_member, every=checkpoint_every,
-            resume_from=resume_from)
-    spec = result_cache.spec_for(
-        cache, "dmm-portfolio",
-        lambda: dict(meta,
-                     formula=result_cache.formula_fingerprint(formula)),
-        encode=_encode_member, decode=_decode_member)
-    rngs = spawn_rngs(rng, attempts)
-    tasks = [(formula, solver_kwargs, member_rng) for member_rng in rngs]
-    engine = parallel.ParallelMap(workers=workers, timeout=timeout)
     with telemetry.span("dmm.portfolio.solve", attempts=attempts):
-        results = engine.map(_portfolio_attempt, tasks, on_error="return",
-                             retry=retry, validate=_member_is_result,
-                             checkpoint=ckpt, cache=spec)
+        portfolio = parallel.run_workload(
+            "dmm-portfolio", _portfolio_attempt,
+            lambda _low, _high, stream: (formula, solver_kwargs, stream),
+            attempts, PortfolioResult,
+            lambda: {"attempts": int(attempts),
+                     "solver_kwargs": resilience.jsonable(solver_kwargs),
+                     "formula": result_cache.formula_fingerprint(formula)},
+            rng=rng, encode=_encode_member, decode=_decode_member,
+            validate=_member_is_result, on_error="return", workers=workers,
+            chunk_size=1, timeout=timeout, retry=retry, cache=cache)
     registry = telemetry.get_registry()
     if registry.enabled:
         registry.counter("dmm.portfolio.solves").inc()
         registry.counter("dmm.portfolio.attempts").inc(attempts)
-    return PortfolioResult(results)
+    return portfolio

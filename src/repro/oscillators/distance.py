@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from ..core import cache as result_cache
-from ..core import parallel, profiling, resilience, telemetry
+from ..core import parallel, profiling, telemetry
 from ..core.exceptions import OscillatorError
 from .locking import DEFAULT_C_C, simulate_calibrated_pair
 from .norms import xor_measure_curve
@@ -57,6 +57,14 @@ def _block_is_finite(values):
 
 def _encode_measures(values):
     return [float(value) for value in values]
+
+
+def _concat_measures(blocks):
+    """Merge: the blocks' measures as one list, in pair order."""
+    if not blocks:
+        return []
+    return np.concatenate(
+        [np.asarray(block, dtype=float) for block in blocks]).tolist()
 
 
 def _pair_array(pairs):
@@ -230,85 +238,46 @@ class OscillatorDistanceUnit:
         }
 
     def measure_pairs(self, pairs, workers=None, chunk_size=None,
-                      timeout=None, retry=None, checkpoint=None,
-                      resume_from=None, checkpoint_every=1, cache=None):
+                      timeout=None, retry=None, cache=None):
         """Measures for a sequence of ``(a, b)`` intensity pairs, in order.
 
         ``pairs`` is an ``(n, 2)`` array or a sequence of ``(a, b)``
-        rows; any other shape raises :class:`OscillatorError`.  The
-        image-scale fan-out path: pairs are split into blocks
-        (chunking depends only on the pair count and ``chunk_size``) and
-        scored on the parallel engine's workers; each worker's telemetry
+        rows; any other shape raises :class:`OscillatorError`.  Runs on
+        :func:`repro.core.parallel.run_workload`: inline on this unit
+        (one :meth:`measure_batch`) unless the call is chunked
+        (``workers``, ``chunk_size``, ``timeout`` or ``retry`` set), in
+        which case the pairs are split into blocks (chunking depends
+        only on the pair count and ``chunk_size``) scored on the
+        parallel engine's workers, and each worker's telemetry
         (``oscillator.distance.evals`` etc.) merges into the active
         registry at join.  The primitive is deterministic, so results
-        are identical for every worker count; ``workers=1`` with
-        ``chunk_size=None`` (and no resilience options) scores inline on
-        this unit.  ``timeout``/``retry`` bound and re-dispatch failed
-        blocks; ``checkpoint``/``resume_from`` (paths) persist finished
-        blocks so an interrupted image sweep resumes where it stopped.
+        are identical on both paths and for every worker count.
+        ``timeout``/``retry`` bound and re-dispatch failed blocks.
         ``cache`` (None / False / path /
         :class:`~repro.core.cache.ResultCache`) reuses measures
         content-addressed by the pair values and the unit's calibration
         (the primitive has no RNG, so every workload is cacheable):
-        whole-call on the serial path, per block on the chunked path.
+        whole-call inline, per block when chunked -- so a killed
+        chunked sweep re-run against the same directory scores only the
+        blocks it had not finished.
         """
         pair_array = _pair_array(pairs)
-        workers = parallel.resolve_workers(workers)
-        resilient = (timeout is not None or retry is not None
-                     or checkpoint is not None or resume_from is not None)
-        config = self.config()
-
-        def cache_meta():
-            return {"pairs": result_cache.array_fingerprint(pair_array),
-                    "count": len(pair_array), "config": config}
-
-        if workers == 1 and chunk_size is None and not resilient:
-            spec = result_cache.spec_for(
-                cache, "oscillator-distance", cache_meta,
-                encode=_encode_measures)
-            if spec is not None:
-                hit, measures = spec.lookup()
-                if hit:
-                    return measures
-            start = time.perf_counter()
-            measures = self.measure_batch(pair_array[:, 0],
-                                          pair_array[:, 1]).tolist()
-            profiling.record_throughput("oscillator.distance.pairs",
-                                        len(pair_array),
-                                        time.perf_counter() - start)
-            if spec is not None:
-                spec.store(measures)
-            return measures
-        sizes = parallel.chunk_sizes(len(pair_array), chunk_size)
-        chunks = []
-        offset = 0
-        for size in sizes:
-            chunks.append(pair_array[offset:offset + size])
-            offset += size
-        ckpt = None
-        if checkpoint is not None or resume_from is not None:
-            meta = {"pairs": len(pair_array), "sizes": sizes,
-                    "config": config}
-            ckpt = resilience.Checkpointer(
-                checkpoint if checkpoint is not None else resume_from,
-                "oscillator-distance", meta=meta, encode=_encode_measures,
-                every=checkpoint_every, resume_from=resume_from)
-        spec = result_cache.spec_for(
-            cache, "oscillator-distance-chunk",
-            lambda: dict(cache_meta(), sizes=sizes),
-            encode=_encode_measures)
         start = time.perf_counter()
-        blocks = parallel.ParallelMap(workers=workers, timeout=timeout).map(
-            _measure_pairs_chunk, [(config, chunk) for chunk in chunks],
-            retry=retry, validate=_block_is_finite, checkpoint=ckpt,
-            cache=spec)
+        measures = parallel.run_workload(
+            "oscillator-distance", _measure_pairs_chunk,
+            lambda low, high, _rng: (self.config(), pair_array[low:high]),
+            len(pair_array), _concat_measures,
+            lambda: {"pairs": result_cache.array_fingerprint(pair_array),
+                     "count": len(pair_array), "config": self.config()},
+            inline=lambda: self.measure_batch(pair_array[:, 0],
+                                              pair_array[:, 1]).tolist(),
+            encode=_encode_measures, validate=_block_is_finite,
+            workers=workers, chunk_size=chunk_size, timeout=timeout,
+            retry=retry, cache=cache)
         profiling.record_throughput("oscillator.distance.pairs",
                                     len(pair_array),
                                     time.perf_counter() - start)
-        if not blocks:
-            return []
-        return np.concatenate(
-            [np.asarray(block, dtype=float) for block in blocks]).tolist()
+        return measures
 
     def measure_threshold(self, intensity_threshold):
         """Measure level corresponding to an intensity difference threshold.

@@ -50,9 +50,18 @@ def _detect_chunk(payload):
     detector = OscillatorFastDetector(
         threshold=threshold, n=n,
         distance_unit=OscillatorDistanceUnit(**unit_config))
-    corners = [(row, col) for row, col in pixels
-               if detector.is_corner(image, row, col)]
-    return corners, detector._comparisons, len(pixels)
+    return detector._scan(image, pixels)
+
+
+def _merge_blocks(blocks):
+    """Merge: corners in pixel order, comparison and pixel totals."""
+    corners = []
+    comparisons = pixels = 0
+    for block_corners, block_comparisons, block_pixels in blocks:
+        corners.extend(block_corners)
+        comparisons += block_comparisons
+        pixels += block_pixels
+    return corners, comparisons, pixels
 
 
 def _circular_runs(flags):
@@ -133,73 +142,50 @@ class OscillatorFastDetector:
                 return True
         return False
 
-    def _cache_meta(self, image, sizes=None):
+    def _scan(self, image, pixels):
+        """Segment-test ``pixels``: ``(corners, comparisons, pixels)``."""
+        corners = [(row, col) for row, col in pixels
+                   if self.is_corner(image, row, col)]
+        return corners, self._comparisons, len(pixels)
+
+    def _cache_meta(self, image):
         """Cache fingerprint: detector knobs + image content hash."""
-        meta = {"threshold": self.threshold, "n": self.n,
+        return {"threshold": self.threshold, "n": self.n,
                 "config": self.distance_unit.config(),
                 "image": result_cache.array_fingerprint(np.asarray(image))}
-        if sizes is not None:
-            meta["sizes"] = sizes
-        return meta
 
     def detect(self, image, workers=None, chunk_size=None, timeout=None,
                retry=None, cache=None):
         """All corners of ``image``; records primitive-invocation stats.
 
-        ``workers``/``chunk_size`` split the interior pixels into blocks
-        scored on the parallel engine (image-patch scoring is pure, so
-        the corner list is identical for every worker count); worker
-        telemetry merges into the active registry at join.
-        ``timeout``/``retry`` bound each block and re-dispatch failed
-        ones before giving up.  ``cache`` (None / False / path /
-        :class:`~repro.core.cache.ResultCache`) reuses detections
-        content-addressed by the image pixels and the detector's knobs
-        (deterministic workload, always cacheable); ``last_stats`` and
-        the ``oscillator.fast.*`` counters replay on a hit.
+        Runs on :func:`repro.core.parallel.run_workload`: inline on this
+        detector unless the call is chunked (``workers``, ``chunk_size``,
+        ``timeout`` or ``retry`` set), in which case the interior pixels
+        are split into blocks scored on the parallel engine (image-patch
+        scoring is pure, so the corner list is identical on both paths
+        and for every worker count) and worker telemetry merges into the
+        active registry at join.  ``timeout``/``retry`` bound each block
+        and re-dispatch failed ones before giving up.  ``cache`` (None /
+        False / path / :class:`~repro.core.cache.ResultCache`) reuses
+        detections content-addressed by the image pixels and the
+        detector's knobs (deterministic workload, always cacheable);
+        ``last_stats`` and the ``oscillator.fast.*`` counters replay on
+        a hit.
         """
         self._comparisons = 0
-        corners = []
-        pixels = 0
-        workers = parallel.resolve_workers(workers)
-        resilient = timeout is not None or retry is not None
+        pixel_list = list(interior_pixels(image))
         with telemetry.span("oscillator.fast.detect") as detect_span:
-            if workers == 1 and chunk_size is None and not resilient:
-                spec = result_cache.spec_for(
-                    cache, "oscillator-fast",
-                    lambda: self._cache_meta(image),
-                    encode=_encode_block, decode=_decode_block)
-                hit = False
-                if spec is not None:
-                    hit, value = spec.lookup()
-                    if hit:
-                        corners, self._comparisons, pixels = value
-                if not hit:
-                    for row, col in interior_pixels(image):
-                        pixels += 1
-                        if self.is_corner(image, row, col):
-                            corners.append((row, col))
-                    if spec is not None:
-                        spec.store((corners, self._comparisons, pixels))
-            else:
-                meta_image = image
-                image = np.asarray(image, dtype=float)
-                chunks = parallel.chunk_list(list(interior_pixels(image)),
-                                             chunk_size)
-                spec = result_cache.spec_for(
-                    cache, "oscillator-fast-chunk",
-                    lambda: self._cache_meta(
-                        meta_image, sizes=[len(c) for c in chunks]),
-                    encode=_encode_block, decode=_decode_block)
-                unit_config = self.distance_unit.config()
-                tasks = [(self.threshold, self.n, unit_config, image,
-                          chunk) for chunk in chunks]
-                blocks = parallel.ParallelMap(
-                    workers=workers, timeout=timeout).map(
-                    _detect_chunk, tasks, retry=retry, cache=spec)
-                for block_corners, comparisons, block_pixels in blocks:
-                    corners.extend(block_corners)
-                    self._comparisons += comparisons
-                    pixels += block_pixels
+            corners, self._comparisons, pixels = parallel.run_workload(
+                "oscillator-fast", _detect_chunk,
+                lambda low, high, _rng: (
+                    self.threshold, self.n, self.distance_unit.config(),
+                    np.asarray(image, dtype=float), pixel_list[low:high]),
+                len(pixel_list), _merge_blocks,
+                lambda: self._cache_meta(image),
+                inline=lambda: self._scan(image, pixel_list),
+                encode=_encode_block, decode=_decode_block,
+                workers=workers, chunk_size=chunk_size, timeout=timeout,
+                retry=retry, cache=cache)
             detect_span.set_attr("pixels", pixels)
             detect_span.set_attr("corners", len(corners))
             detect_span.set_attr("comparisons", self._comparisons)

@@ -22,9 +22,9 @@ import math
 import numpy as np
 
 from ...core import cache as result_cache
-from ...core import parallel, resilience, telemetry
+from ...core import parallel, telemetry
 from ...core.exceptions import QuantumError
-from ...core.rngs import make_rng, spawn_rngs
+from ...core.rngs import make_rng
 from ..circuit import QuantumCircuit
 from .qft import inverse_qft_circuit
 
@@ -142,9 +142,17 @@ def _decode_reading(doc):
     return int(doc[0]), int(doc[1])
 
 
+def _first_order(a, modulus, readings):
+    """Merge: the first usable order in attempt order, or None."""
+    for measured, t in readings:
+        r = _order_from_measurement(a, modulus, measured, t)
+        if r is not None:
+            return r
+    return None
+
+
 def find_order(a, modulus, rng=None, max_attempts=10, runner=None,
-               workers=None, timeout=None, retry=None, checkpoint=None,
-               resume_from=None, checkpoint_every=1, cache=None):
+               workers=None, timeout=None, retry=None, cache=None):
     """Quantum order finding with classical post-processing.
 
     ``runner(circuit) -> int`` executes the circuit and returns the
@@ -152,51 +160,32 @@ def find_order(a, modulus, rng=None, max_attempts=10, runner=None,
     reference simulator once.  Returns the order ``r`` or ``None`` after
     ``max_attempts`` failed phase readings.
 
-    With ``workers > 1`` (and no custom ``runner``), the attempts run
-    concurrently on the parallel engine, each with its own child
-    generator spawned from ``rng``; phase readings are post-processed in
-    attempt order and the first usable order wins, so the result is a
-    deterministic function of the seed alone, whatever the worker count.
-    ``timeout``/``retry`` bound and re-dispatch individual attempts;
-    ``checkpoint`` (a path) persists finished phase readings.  The
-    checkpoint is *rolling*: its metadata pins ``(a, modulus, RNG
-    state)``, and a run for a different base simply restarts the file
-    -- which lets :func:`shor_factor` thread one checkpoint path
-    through every base it tries.  ``cache`` (None / False / path /
-    :class:`~repro.core.cache.ResultCache`) reuses per-attempt phase
-    readings on the parallel branch, content-addressed by ``(a,
-    modulus, max_attempts, RNG fingerprint)``; the serial branch shares
-    one mutable generator across attempts and is never cached.
+    A chunked call (``workers > 1``, ``timeout`` or ``retry`` set, see
+    :func:`repro.core.parallel.is_chunked`) without a custom ``runner``
+    runs the attempts concurrently on the parallel engine, one attempt
+    per chunk, each with its own child generator spawned from ``rng``;
+    phase readings are post-processed in attempt order and the first
+    usable order wins, so the result is a deterministic function of the
+    seed alone, whatever the worker count.  ``timeout``/``retry`` bound
+    and re-dispatch individual attempts.  ``cache`` (None / False / path
+    / :class:`~repro.core.cache.ResultCache`) stores each finished phase
+    reading of that branch, content-addressed by ``(a, modulus,
+    max_attempts, RNG fingerprint)``, so a killed run re-run against the
+    same directory repeats only its missing attempts.  Any other call
+    runs the attempts in sequence on one shared generator, stopping at
+    the first usable order; that branch is never cached.
     """
-    workers = parallel.resolve_workers(workers)
-    resilient = (timeout is not None or retry is not None
-                 or checkpoint is not None or resume_from is not None)
-    if runner is None and (parallel.wants_fanout(workers) or resilient):
-        # Fingerprint the RNG before spawn_rngs advances it.
-        meta = {"a": int(a), "modulus": int(modulus),
-                "max_attempts": int(max_attempts),
-                "rng": resilience.rng_fingerprint(rng)}
-        ckpt = None
-        if checkpoint is not None or resume_from is not None:
-            ckpt = resilience.Checkpointer(
-                checkpoint if checkpoint is not None else resume_from,
-                "shor-order", meta=meta, encode=_encode_reading,
-                decode=_decode_reading, every=checkpoint_every,
-                resume_from=resume_from, restart_on_mismatch=True)
-        spec = result_cache.spec_for(cache, "shor-order", lambda: meta,
-                                     encode=_encode_reading,
-                                     decode=_decode_reading)
-        rngs = spawn_rngs(rng, max_attempts)
-        tasks = [(a, modulus, attempt_rng) for attempt_rng in rngs]
-        readings = parallel.ParallelMap(workers=workers,
-                                        timeout=timeout).map(
-            _order_attempt, tasks, retry=retry, validate=_reading_is_sane,
-            checkpoint=ckpt, cache=spec)
-        for measured, t in readings:
-            r = _order_from_measurement(a, modulus, measured, t)
-            if r is not None:
-                return r
-        return None
+    if runner is None and parallel.is_chunked(workers, timeout=timeout,
+                                              retry=retry):
+        return parallel.run_workload(
+            "shor-order", _order_attempt,
+            lambda _low, _high, stream: (a, modulus, stream),
+            max_attempts, lambda readings: _first_order(a, modulus, readings),
+            lambda: {"a": int(a), "modulus": int(modulus),
+                     "max_attempts": int(max_attempts)},
+            rng=rng, encode=_encode_reading, decode=_decode_reading,
+            validate=_reading_is_sane, workers=workers, chunk_size=1,
+            timeout=timeout, retry=retry, cache=cache)
     rng = make_rng(rng)
 
     def default_runner(circuit, t):
@@ -282,22 +271,20 @@ def _perfect_power(n):
 
 
 def shor_factor(n, rng=None, max_base_attempts=20, workers=None,
-                timeout=None, retry=None, checkpoint=None,
-                checkpoint_every=1, cache=None):
+                timeout=None, retry=None, cache=None):
     """Factor ``n`` via Shor's algorithm; returns a :class:`ShorResult`.
 
     Classical shortcuts handle even numbers and perfect powers; otherwise
     random bases are tried through quantum order finding until an even
     order with ``a^{r/2} != -1 (mod n)`` yields factors.  ``workers``,
-    ``timeout``, ``retry``, and ``checkpoint`` forward to
-    :func:`find_order` (deterministic given the seed); the checkpoint
-    path is shared by every base as a rolling file -- re-running after a
-    kill with the same seed resumes the interrupted base's remaining
-    attempts.  ``cache`` (None / False / path /
+    ``timeout``, and ``retry`` forward to :func:`find_order`
+    (deterministic given the seed).  ``cache`` (None / False / path /
     :class:`~repro.core.cache.ResultCache`) forwards to
-    :func:`find_order` and additionally caches the whole
-    :class:`ShorResult` for integer seeds, so a warm repeat of a seeded
-    factorization skips every circuit execution.
+    :func:`find_order` -- so a killed chunked factorization re-run with
+    the same seed and directory resumes the interrupted base's remaining
+    attempts -- and additionally caches the whole :class:`ShorResult`
+    for integer seeds, so a warm repeat of a seeded factorization skips
+    every circuit execution.
     """
     if n < 4:
         raise QuantumError("n must be a composite >= 4")
@@ -306,46 +293,31 @@ def shor_factor(n, rng=None, max_base_attempts=20, workers=None,
         registry.counter("quantum.shor.factorizations").inc()
         with telemetry.span("quantum.shor.factor", n=n) as factor_span:
             result = _shor_factor(n, rng, max_base_attempts, workers,
-                                  timeout, retry, checkpoint,
-                                  checkpoint_every, cache)
+                                  timeout, retry, cache)
             factor_span.set_attr("method", result.method)
             factor_span.set_attr("succeeded", result.succeeded)
         return result
     return _shor_factor(n, rng, max_base_attempts, workers, timeout, retry,
-                        checkpoint, checkpoint_every, cache)
+                        cache)
 
 
-def _shor_factor(n, rng, max_base_attempts, workers=None, timeout=None,
-                 retry=None, checkpoint=None, checkpoint_every=1,
-                 cache=None):
-    spec = None
-    if result_cache.cacheable_seed(rng):
-        # find_order picks its serial or parallel branch from the
-        # worker/resilience arguments, and the two branches draw
-        # different streams -- the branch is part of the fingerprint.
-        resilient = (timeout is not None or retry is not None
-                     or checkpoint is not None)
-        spec = result_cache.spec_for(
-            cache, "shor-factor",
-            lambda: {"n": int(n),
-                     "max_base_attempts": int(max_base_attempts),
-                     "parallel": parallel.wants_fanout(workers) or resilient,
-                     "rng": resilience.rng_fingerprint(rng)},
-            encode=_encode_shor_result, decode=_decode_shor_result)
-    if spec is not None:
-        hit, cached = spec.lookup()
-        if hit:
-            return cached
-    result = _shor_factor_compute(n, rng, max_base_attempts, workers,
-                                  timeout, retry, checkpoint,
-                                  checkpoint_every, cache)
-    if spec is not None:
-        spec.store(result)
-    return result
+def _shor_factor(n, rng, max_base_attempts, workers, timeout, retry,
+                 cache):
+    # find_order's chunked and sequential branches draw different
+    # streams, so the branch is part of the fingerprint.
+    return result_cache.cached_call(
+        "shor-factor",
+        lambda: _shor_factor_compute(n, rng, max_base_attempts, workers,
+                                     timeout, retry, cache),
+        lambda: {"n": int(n), "max_base_attempts": int(max_base_attempts),
+                 "parallel": parallel.is_chunked(workers, timeout=timeout,
+                                                 retry=retry)},
+        rng=rng, cache=cache, encode=_encode_shor_result,
+        decode=_decode_shor_result)
 
 
 def _shor_factor_compute(n, rng, max_base_attempts, workers, timeout,
-                         retry, checkpoint, checkpoint_every, cache):
+                         retry, cache):
     if n % 2 == 0:
         return ShorResult(n, (2, n // 2), "classical-shortcut", 0, [])
     power = _perfect_power(n)
@@ -361,8 +333,7 @@ def _shor_factor_compute(n, rng, max_base_attempts, workers, timeout,
             return ShorResult(n, (shared, n // shared),
                               "classical-shortcut", attempt, orders)
         r = find_order(a, n, rng=rng, workers=workers, timeout=timeout,
-                       retry=retry, checkpoint=checkpoint,
-                       checkpoint_every=checkpoint_every, cache=cache)
+                       retry=retry, cache=cache)
         if r is None:
             continue
         orders.append((a, r))

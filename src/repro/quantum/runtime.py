@@ -10,19 +10,20 @@ import math
 import time
 
 from ..core import cache as result_cache
-from ..core import parallel, profiling, resilience, telemetry
+from ..core import parallel, profiling, telemetry
 from ..core.exceptions import QuantumError
-from ..core.rngs import make_rng, spawn_rngs
+from ..core.rngs import make_rng
 from .microarch import MicroArchitecture, assemble
 
 
 def circuit_fingerprint(circuit):
     """Content description of a circuit for cache keying.
 
-    Stronger than ``gate_counts()`` (enough for a per-run checkpoint
-    file, too weak for a shared cache directory): every op contributes
-    its name, qubits, parameters, and -- for explicit-matrix or
-    permutation ops -- a hash of the actual array contents.
+    Stronger than ``gate_counts()`` (two circuits with the same gates
+    but different angles must not share a cache entry): every op
+    contributes its name, qubits, parameters, and -- for
+    explicit-matrix or permutation ops -- a hash of the actual array
+    contents.
     """
     ops = []
     for op in circuit.ops:
@@ -48,9 +49,9 @@ def _microarch_meta(microarch):
 def _run_shot_chunk(payload):
     """Worker entry point: execute one block of shots.
 
-    Module-level (picklable) for
-    :class:`repro.core.parallel.ParallelMap`; re-assembles the kernel in
-    the worker and returns ``(counts, chip_time_ns)`` for its block.
+    Module-level (picklable) for the parallel engine; re-assembles the
+    kernel in the worker and returns ``(counts, chip_time_ns)`` for its
+    block.  The inline path runs it once over every shot.
     """
     microarch, circuit, cbit_order, shots, rng = payload
     program = assemble(circuit)
@@ -63,6 +64,17 @@ def _run_shot_chunk(payload):
         value = result.bits_as_int(cbit_order)
         counts[value] = counts.get(value, 0) + 1
         chip_time += result.elapsed_ns
+    return counts, chip_time
+
+
+def _merge_blocks(blocks):
+    """Merge: block histograms added exactly, chip times summed."""
+    counts = {}
+    chip_time = 0.0
+    for block_counts, block_time in blocks:
+        for value, count in block_counts.items():
+            counts[value] = counts.get(value, 0) + count
+        chip_time += block_time
     return counts, chip_time
 
 
@@ -141,16 +153,12 @@ class QuantumRuntime:
     def __init__(self, microarch=None):
         self.microarch = microarch
 
-    def _cache_meta(self, circuit, shots, cbit_order, rng, sizes=None):
+    def _cache_meta(self, circuit, shots, cbit_order):
         """Cache fingerprint meta for one shot workload."""
-        meta = {"shots": int(shots),
+        return {"shots": int(shots),
                 "circuit": circuit_fingerprint(circuit),
                 "cbits": list(cbit_order),
-                "microarch": _microarch_meta(self.microarch),
-                "rng": resilience.rng_fingerprint(rng)}
-        if sizes is not None:
-            meta["sizes"] = sizes
-        return meta
+                "microarch": _microarch_meta(self.microarch)}
 
     def _ensure_microarch(self, circuit):
         if self.microarch is None:
@@ -162,35 +170,32 @@ class QuantumRuntime:
             )
 
     def run(self, circuit, shots=1024, rng=None, workers=None,
-            chunk_size=None, timeout=None, retry=None, checkpoint=None,
-            resume_from=None, checkpoint_every=1, cache=None):
+            chunk_size=None, timeout=None, retry=None, cache=None):
         """Execute ``circuit`` for ``shots`` repetitions.
 
         The circuit must contain at least one measurement (otherwise shots
         are meaningless); returns a :class:`ShotResult`.
 
-        ``workers``/``chunk_size`` fan the shot loop out over the
-        parallel engine: shots are split into blocks (chunking depends
-        only on ``shots`` and ``chunk_size``, never on the worker
-        count), each block samples its own child generator spawned from
-        ``rng``, and block histograms merge by exact integer addition --
-        so the counts are bit-identical for every worker count.
-        ``workers=1`` with ``chunk_size=None`` (and no resilience
-        options) keeps the historical single-stream loop.
-
-        ``timeout`` bounds each block (process path); ``retry`` re-runs
-        failed blocks with their original streams;
-        ``checkpoint``/``resume_from`` (paths) persist finished block
-        histograms so an interrupted sweep resumes with its remaining
-        blocks only (``checkpoint_every`` controls the flush cadence).
+        Runs on :func:`repro.core.parallel.run_workload`.  A call that
+        sets none of ``workers`` (> 1), ``chunk_size``, ``timeout`` and
+        ``retry`` runs the historical single-stream loop inline; any
+        other call is chunked: shots are split into blocks (chunking
+        depends only on ``shots`` and ``chunk_size``, never on the
+        worker count), each block samples its own child generator
+        spawned from ``rng``, and block histograms merge by exact
+        integer addition -- so the counts are bit-identical for every
+        worker count.  ``timeout`` bounds each block (process path);
+        ``retry`` re-runs failed blocks with their original streams.
 
         ``cache`` (None / False / path /
         :class:`~repro.core.cache.ResultCache`) reuses shot histograms
         content-addressed by the full circuit (op list including matrix
         and permutation contents), micro-architecture knobs, shot count,
-        and RNG fingerprint: the serial fast path caches the whole
-        histogram (integer seeds only), the chunked path caches per shot
-        block.  ``rng=None`` (fresh entropy) is never cached.
+        and RNG fingerprint: the inline path caches the whole histogram
+        (integer seeds only), the chunked path caches per shot block as
+        blocks finish, so an interrupted sweep re-run against the same
+        directory runs only its remaining blocks.  ``rng=None`` (fresh
+        entropy) is never cached.
         """
         if shots < 1:
             raise QuantumError("shots must be positive")
@@ -198,73 +203,23 @@ class QuantumRuntime:
         if not cbit_order:
             raise QuantumError("kernel has no measurements; nothing to sample")
         self._ensure_microarch(circuit)
-        workers = parallel.resolve_workers(workers)
-        resilient = (timeout is not None or retry is not None
-                     or checkpoint is not None or resume_from is not None)
         registry = telemetry.get_registry()
         with telemetry.span("quantum.runtime.run", shots=shots,
                             qubits=circuit.num_qubits) as run_span:
             start = time.perf_counter()
-            if workers == 1 and chunk_size is None and not resilient:
-                spec = None
-                if result_cache.cacheable_seed(rng):
-                    spec = result_cache.spec_for(
-                        cache, "quantum-shots",
-                        lambda: self._cache_meta(circuit, shots,
-                                                 cbit_order, rng),
-                        encode=_encode_block, decode=_decode_block)
-                counts = chip_time = None
-                if spec is not None:
-                    hit, value = spec.lookup()
-                    if hit:
-                        counts, chip_time = value
-                if counts is None:
-                    rng = make_rng(rng)
-                    program = assemble(circuit)
-                    counts = {}
-                    chip_time = 0.0
-                    for result in self.microarch.execute_shots(
-                            program, shots, rng=rng):
-                        value = result.bits_as_int(cbit_order)
-                        counts[value] = counts.get(value, 0) + 1
-                        chip_time += result.elapsed_ns
-                    if spec is not None:
-                        spec.store((counts, chip_time))
-            else:
-                sizes = parallel.chunk_sizes(shots, chunk_size)
-                ckpt = None
-                if checkpoint is not None or resume_from is not None:
-                    # Fingerprint the RNG before spawn_rngs advances it.
-                    meta = {"shots": int(shots), "sizes": sizes,
-                            "qubits": int(circuit.num_qubits),
-                            "gates": circuit.gate_counts(),
-                            "cbits": cbit_order,
-                            "rng": resilience.rng_fingerprint(rng)}
-                    ckpt = resilience.Checkpointer(
-                        checkpoint if checkpoint is not None
-                        else resume_from,
-                        "quantum-shots", meta=meta, encode=_encode_block,
-                        decode=_decode_block, every=checkpoint_every,
-                        resume_from=resume_from)
-                spec = result_cache.spec_for(
-                    cache, "quantum-shots-chunk",
-                    lambda: self._cache_meta(circuit, shots, cbit_order,
-                                             rng, sizes=sizes),
-                    encode=_encode_block, decode=_decode_block)
-                rngs = spawn_rngs(rng, len(sizes))
-                tasks = [(self.microarch, circuit, cbit_order, block,
-                          block_rng)
-                         for block, block_rng in zip(sizes, rngs)]
-                blocks = parallel.ParallelMap(
-                    workers=workers, timeout=timeout).map(
-                    _run_shot_chunk, tasks, retry=retry,
-                    validate=_block_is_sane, checkpoint=ckpt, cache=spec)
-                counts = {}
-                chip_time = 0.0
-                for block_counts, block_time in blocks:
-                    for value, count in block_counts.items():
-                        counts[value] = counts.get(value, 0) + count
-                    chip_time += block_time
+            counts, chip_time = parallel.run_workload(
+                "quantum-shots", _run_shot_chunk,
+                lambda low, high, stream: (self.microarch, circuit,
+                                           cbit_order, high - low, stream),
+                shots, _merge_blocks,
+                lambda: self._cache_meta(circuit, shots, cbit_order),
+                inline=lambda: _run_shot_chunk(
+                    (self.microarch, circuit, cbit_order, shots,
+                     make_rng(rng))),
+                rng=rng, encode=_encode_block, decode=_decode_block,
+                validate=_block_is_sane, workers=workers,
+                chunk_size=chunk_size, timeout=timeout, retry=retry,
+                cache=cache)
             wall_time = time.perf_counter() - start
             run_span.set_attr("chip_time_ns", chip_time)
         if registry.enabled:

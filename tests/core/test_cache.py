@@ -10,9 +10,9 @@ Three layers of coverage:
   cache-off runs and cold vs warm runs are bit-identical, telemetry
   keeps its result shape, and cache keys never depend on the worker
   count;
-* interplay tests with the resilience layer: the checkpoint is
-  consulted before the cache, failed chunks are never cached, and a
-  resumed run re-executes exactly the chunks its checkpoint is missing.
+* interplay tests with the resilience layer: failed chunks are never
+  cached, so a re-run re-executes exactly the chunks the cache is
+  missing.
 """
 
 import json
@@ -45,7 +45,6 @@ from repro.core.cache import (
 )
 from repro.core.exceptions import CacheError
 from repro.core.parallel import ParallelMap
-from repro.core.resilience import Checkpointer
 from repro.core.sat_instances import planted_ksat
 
 
@@ -565,30 +564,6 @@ class TestParallelMapIntegration:
         clean = ParallelMap(workers=1).map(_square, tasks, cache=spec)
         assert clean == [x * x for x in tasks]
         assert cache.stores == len(tasks)
-
-    def test_checkpoint_wins_over_cache_and_hits_backfill_it(
-            self, tmp_path):
-        cache = ResultCache()
-        tasks = list(range(4))
-        spec = self._spec(cache, len(tasks))
-        ParallelMap(workers=1).map(_square, tasks, cache=spec)
-        path = str(tmp_path / "ckpt.json")
-        ckpt = Checkpointer(path, "square", meta={"total": len(tasks)})
-        results = ParallelMap(workers=1).map(_square, tasks, cache=spec,
-                                             checkpoint=ckpt)
-        assert results == [x * x for x in tasks]
-        # cache hits were recorded into the checkpoint
-        document = json.load(open(path))
-        assert len(document["chunks"]) == len(tasks)
-        # a poisoned checkpoint value wins over the cache: resumed
-        # values are trusted, the cache is only consulted for gaps
-        document["chunks"]["2"] = 999
-        with open(path, "w") as handle:
-            json.dump(document, handle)
-        resumed = Checkpointer(path, "square", meta={"total": len(tasks)})
-        results = ParallelMap(workers=1).map(_square, tasks, cache=spec,
-                                             checkpoint=resumed)
-        assert results[2] == 999
 
 
 # -- hypothesis: the cache-invisibility contract ---------------------------

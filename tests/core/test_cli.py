@@ -263,21 +263,31 @@ class TestResilienceFlags:
         formula = planted_ksat(15, 55, rng=0)
         return save_dimacs(formula, str(tmp_path / "i.cnf"))
 
-    def test_distance_checkpoint_written_and_resumable(self, tmp_path):
-        import json
+    def test_distance_checkpoint_written_and_resumable(self, tmp_path,
+                                                       fault_plan):
+        """The checkpoint of a chunked run is its --cache-dir: a killed
+        run re-run with the same flags scores only the missing chunk."""
+        from repro.core import cache as result_cache
+        from repro.core import resilience, telemetry
+        from repro.core.exceptions import ParallelError
 
-        ckpt = str(tmp_path / "distance.json")
-        code, text = run_cli(["distance", "120", "40", "10", "200",
-                              "--checkpoint", ckpt])
+        argv = ["distance", "120", "40", "10", "200", "--retries", "2",
+                "--cache-dir", str(tmp_path / "cache")]
+        _code, baseline = run_cli(["distance", "120", "40", "10", "200"])
+        fault_plan([(1, 1, "raise"), (1, 2, "raise")])
+        with pytest.raises(ParallelError):
+            run_cli(argv)
+        resilience.set_fault_plan(None)
+        # read the directory back as a fresh process would
+        result_cache.cache_for_dir(argv[-1]).clear_memory()
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            code, resumed = run_cli(argv)
         assert code == 0
-        document = json.load(open(ckpt))
-        assert document["kind"] == "oscillator-distance"
-        assert document["chunks"]
-        # a resumed run reads the finished chunks and reports the same
-        code, resumed = run_cli(["distance", "120", "40", "10", "200",
-                                 "--resume", ckpt])
-        assert code == 0
-        assert resumed == text
+        assert resumed == baseline
+        assert registry.counter("cache.hits").value == 1
+        assert registry.counter("cache.stores").value == 1
+        assert registry.counter("parallel.tasks").value == 1
 
     def test_solve_retries_with_workers(self, instance_path):
         code, text = run_cli(["solve", instance_path, "--workers", "2",
@@ -294,16 +304,22 @@ class TestResilienceFlags:
         assert "restarts" in text
 
     def test_factor_checkpoint_written(self, tmp_path):
+        """A chunked factorization stores every finished order-finding
+        attempt in --cache-dir, so a killed run can resume mid-base."""
         import json
+        import os
 
-        ckpt = str(tmp_path / "factor.json")
+        cache_dir = str(tmp_path / "cache")
         # seed 1's first base is coprime to 15, so order finding (the
-        # checkpointed path) actually runs instead of a gcd shortcut
+        # per-attempt path) actually runs instead of a gcd shortcut
         code, text = run_cli(["factor", "15", "--seed", "1",
-                              "--checkpoint", ckpt, "--retries", "2"])
+                              "--retries", "2", "--cache-dir", cache_dir])
         assert code == 0
         assert "15 = " in text
-        assert json.load(open(ckpt))["kind"] == "shor-order"
+        kinds = [json.load(open(os.path.join(cache_dir, name)))
+                 ["fingerprint"]["kind"] for name in os.listdir(cache_dir)]
+        assert kinds.count("shor-factor") == 1
+        assert kinds.count("shor-order-chunk") == 10  # max_attempts
 
 
 class TestFlagValidation:
@@ -396,25 +412,36 @@ class TestCacheFlags:
         assert code == 0
         assert warm == cold
 
-    def test_distance_cache_dir_with_checkpoint_resume(self, tmp_path):
+    def test_distance_cache_dir_with_checkpoint_resume(self, tmp_path,
+                                                       fault_plan):
+        """A pool run killed mid-way resumes inline from its cache
+        directory (chunk entries never depend on the worker count)."""
+        from repro.core import resilience, telemetry
+        from repro.core.exceptions import ParallelError
+
         cache_dir = str(tmp_path / "cache")
-        ckpt = str(tmp_path / "distance.json")
-        code, cold = run_cli(["distance", "120", "40", "10", "200",
-                              "--checkpoint", ckpt,
-                              "--cache-dir", cache_dir])
+        pairs = ["120", "40", "10", "200", "33", "34"]
+        _code, baseline = run_cli(["distance"] + pairs)
+        fault_plan([(0, 1, "raise")])
+        with pytest.raises(ParallelError):
+            run_cli(["distance"] + pairs + ["--workers", "2",
+                                            "--cache-dir", cache_dir])
+        resilience.set_fault_plan(None)
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            code, resumed = run_cli(["distance"] + pairs + [
+                "--retries", "1", "--cache-dir", cache_dir])
         assert code == 0
-        # --resume + --cache-dir: the checkpoint fills the finished
-        # chunks, the cache covers any gaps; output is unchanged
-        code, resumed = run_cli(["distance", "120", "40", "10", "200",
-                                 "--resume", ckpt,
-                                 "--cache-dir", cache_dir])
-        assert code == 0
-        assert resumed == cold
-        # and a plain warm run (no checkpoint at all) also matches
-        code, warm = run_cli(["distance", "120", "40", "10", "200",
-                              "--cache-dir", cache_dir])
-        assert code == 0
-        assert warm == cold
+        assert resumed == baseline
+        assert registry.counter("cache.hits").value == 2
+        assert registry.counter("parallel.tasks").value == 1
+        # a warm re-run executes nothing
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            code, warm = run_cli(["distance"] + pairs + [
+                "--retries", "1", "--cache-dir", cache_dir])
+        assert warm == baseline
+        assert registry.counter("parallel.tasks").value == 0
 
     def test_failed_chunks_are_not_cached(self, tmp_path, fault_plan):
         from repro.core.exceptions import ParallelError
@@ -553,8 +580,10 @@ class TestProfile:
 
         out = self.trace_path(tmp_path)
         cache_dir = str(tmp_path / "cache")
+        # --workers 1: the inline path's one whole-call lookup, whatever
+        # REPRO_WORKERS says
         argv = ["profile", "--out", out, "distance", "10", "20", "30", "45",
-                "--cache-dir", cache_dir]
+                "--workers", "1", "--cache-dir", cache_dir]
         code, cold = run_cli(argv)
         assert code == 0
         for name in ("cache.fingerprint", "cache.lookup", "cache.store"):

@@ -31,10 +31,10 @@ from repro.core.parallel import (
     ParallelMap,
     TaskFailure,
     WORKERS_ENV,
-    _reset_timeout_warning,
     chunk_list,
     chunk_sizes,
     default_chunk_size,
+    is_chunked,
     parallel_map,
     resolve_workers,
     shutdown_pools,
@@ -215,23 +215,17 @@ class TestParallelMap:
         with pytest.raises(ParallelError):
             ParallelMap(workers=2).map(_square, [1], on_error="explode")
 
-    def test_unknown_start_method_degrades_to_serial(self):
-        engine = ParallelMap(workers=4, start_method="no-such-method")
-        assert engine.map(_square, [1, 2, 3]) == [1, 4, 9]
-
     def test_parallel_map_convenience(self):
         assert parallel_map(_square, [2, 3], workers=2) == [4, 9]
 
 
 class TestTimeoutEnforcement:
-    """``timeout=`` is enforced through the pool even at ``workers=1``;
-    only a platform without a start method still warns instead."""
+    """``timeout=`` is enforced through the pool even at ``workers=1``."""
 
     def teardown_method(self):
         shutdown_pools()
 
     def test_workers_one_timeout_routes_through_pool_and_kills(self):
-        _reset_timeout_warning()
         start = time.monotonic()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -250,34 +244,7 @@ class TestTimeoutEnforcement:
             assert ParallelMap(workers=1).map(_square, [1, 2]) == [1, 4]
         assert registry.counter("parallel.pool.spawns").value == 0
 
-    def test_no_start_method_warns_once(self):
-        _reset_timeout_warning()
-        engine = ParallelMap(workers=4, timeout=5.0,
-                             start_method="no-such-method")
-        with pytest.warns(RuntimeWarning, match="not enforceable"):
-            assert engine.map(_square, [2, 3]) == [4, 9]
-        # once per process: a second unenforceable map stays quiet
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert engine.map(_square, [3]) == [9]
-
-    def test_no_start_method_counted_and_evented(self):
-        _reset_timeout_warning()
-        registry = telemetry.MetricsRegistry()
-        sink = registry.add_sink(telemetry.ListSink())
-        engine = ParallelMap(workers=1, timeout=2.5,
-                             start_method="no-such-method")
-        with telemetry.use_registry(registry):
-            with pytest.warns(RuntimeWarning):
-                engine.map(_square, [1])
-        assert registry.counter("parallel.timeout_unenforced").value == 1
-        events = [event for event in sink.events
-                  if event.get("name") == "parallel.timeout_unenforced"]
-        assert len(events) == 1
-        assert events[0]["attrs"]["timeout"] == 2.5
-
     def test_process_path_does_not_warn(self):
-        _reset_timeout_warning()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             results = ParallelMap(workers=2, timeout=20.0).map(
@@ -285,7 +252,6 @@ class TestTimeoutEnforcement:
         assert results == [1, 4]
 
     def test_serial_without_timeout_does_not_warn(self):
-        _reset_timeout_warning()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert ParallelMap(workers=1).map(_square, [2]) == [4]
@@ -509,6 +475,19 @@ class TestAutoWorkers:
         assert wants_fanout(2)
         assert not wants_fanout(1)
         assert not wants_fanout(None)
+
+    def test_is_chunked(self, monkeypatch):
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        assert not is_chunked()
+        assert not is_chunked(workers=1)
+        assert is_chunked(workers="auto")
+        assert is_chunked(workers=2)
+        assert is_chunked(chunk_size=4)
+        assert is_chunked(timeout=5.0)
+        # any retry budget, even one attempt, takes the chunked path
+        assert is_chunked(retry=1)
+        monkeypatch.setenv(WORKERS_ENV, "2")
+        assert is_chunked()
 
     def test_small_workload_chooses_serial(self, monkeypatch):
         # one chunk gains nothing from a pool, even on a big machine

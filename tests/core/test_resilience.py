@@ -1,21 +1,18 @@
 """Recovery suite for ``repro.core.resilience`` + the retry engine.
 
-Four layers:
+Three layers:
 
 * policy/plan mechanics -- RetryPolicy classification and deterministic
   backoff, FaultPlan parsing (programmatic, env var, pytest fixture),
   NaN corruption;
 * engine recovery -- injected raise/nan/kill/hang faults are retried to
   success (bit-identical with a fault-free run) or give up cleanly;
-* checkpoint/resume -- round trip, mismatch refusal, rolling restart,
-  resumed chunks are skipped (never re-executed);
 * acceptance -- ``solve_ensemble`` survives a kill+hang+nan fault plan
-  bit-identically, and a killed-then-resumed checkpointed run equals
-  the uninterrupted one.
+  bit-identically, a killed chunked run re-run against its cache
+  directory executes only the missing chunk and equals the
+  uninterrupted one, and a different workload of the same shape run
+  against that directory gets its own answer.
 """
-
-import json
-import os
 
 import numpy as np
 import pytest
@@ -23,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import telemetry
+from repro.core.cache import ResultCache
 from repro.core.exceptions import (
     InjectedFault,
     ParallelError,
@@ -31,7 +29,6 @@ from repro.core.exceptions import (
 from repro.core.parallel import ParallelMap, TaskFailure
 from repro.core.resilience import (
     FAULTS_ENV,
-    Checkpointer,
     FaultPlan,
     RetryPolicy,
     active_fault_plan,
@@ -43,6 +40,9 @@ from repro.core.resilience import (
 )
 from repro.core.sat_instances import planted_ksat
 from repro.memcomputing.ensemble import solve_ensemble
+from repro.oscillators.distance import OscillatorDistanceUnit
+from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.runtime import QuantumRuntime
 
 
 # -- module-level task functions (worker entry points must pickle) ---------
@@ -334,122 +334,6 @@ class TestRngFingerprint:
             rng_fingerprint("seed")
 
 
-# -- checkpoint / resume ---------------------------------------------------
-
-class TestCheckpointer:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        writer = Checkpointer(path, "unit-test", meta={"n": 3})
-        writer.record(0, [1.0, 2.0])
-        writer.record(2, [3.0])
-        writer.flush()
-        reader = Checkpointer(path, "unit-test", meta={"n": 3})
-        assert reader.completed() == {0: [1.0, 2.0], 2: [3.0]}
-        assert len(reader) == 2
-
-    def test_encode_decode_hooks(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        writer = Checkpointer(path, "unit-test",
-                              encode=lambda a: [float(x) for x in a],
-                              decode=np.asarray)
-        writer.record(1, np.array([4.0, 5.0]))
-        writer.flush()
-        reader = Checkpointer(path, "unit-test",
-                              encode=lambda a: [float(x) for x in a],
-                              decode=np.asarray)
-        assert np.array_equal(reader.completed()[1], [4.0, 5.0])
-
-    def test_every_batches_flushes(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        writer = Checkpointer(path, "unit-test", every=3)
-        writer.record(0, 1)
-        writer.record(1, 2)
-        assert not os.path.exists(path)
-        writer.record(2, 3)
-        assert os.path.exists(path)
-
-    def test_meta_mismatch_refused(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        writer = Checkpointer(path, "unit-test", meta={"seed": 1})
-        writer.record(0, 1)
-        writer.flush()
-        with pytest.raises(ResilienceError, match="refusing to resume"):
-            Checkpointer(path, "unit-test", meta={"seed": 2})
-        with pytest.raises(ResilienceError, match="refusing to resume"):
-            Checkpointer(path, "other-kind", meta={"seed": 1})
-
-    def test_mismatch_error_names_path_and_both_fingerprints(
-            self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        writer = Checkpointer(path, "unit-test", meta={"seed": 1})
-        writer.record(0, 1)
-        writer.flush()
-        with pytest.raises(ResilienceError) as excinfo:
-            Checkpointer(path, "unit-test", meta={"seed": 2})
-        message = str(excinfo.value)
-        assert path in message
-        # the message carries the full fingerprint of both sides, so a
-        # user can see exactly which field diverged
-        assert "'seed': 1" in message and "'seed': 2" in message
-        assert "'kind': 'unit-test'" in message
-        with pytest.raises(ResilienceError) as excinfo:
-            Checkpointer(path, "other-kind", meta={"seed": 1})
-        message = str(excinfo.value)
-        assert path in message
-        assert "'unit-test'" in message and "'other-kind'" in message
-
-    def test_restart_on_mismatch_starts_empty(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        writer = Checkpointer(path, "unit-test", meta={"base": 2})
-        writer.record(0, 1)
-        writer.flush()
-        rolling = Checkpointer(path, "unit-test", meta={"base": 7},
-                               restart_on_mismatch=True)
-        assert rolling.completed() == {}
-
-    def test_missing_resume_source_rejected(self, tmp_path):
-        with pytest.raises(ResilienceError, match="does not exist"):
-            Checkpointer(str(tmp_path / "out.json"), "unit-test",
-                         resume_from=str(tmp_path / "nope.json"))
-
-    def test_corrupt_and_foreign_files_rejected(self, tmp_path):
-        garbled = tmp_path / "garbled.json"
-        garbled.write_text("{not json")
-        with pytest.raises(ResilienceError, match="cannot read"):
-            Checkpointer(str(garbled), "unit-test")
-        foreign = tmp_path / "foreign.json"
-        foreign.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(ResilienceError, match="format"):
-            Checkpointer(str(foreign), "unit-test")
-
-    def test_validation(self, tmp_path):
-        with pytest.raises(ResilienceError):
-            Checkpointer(str(tmp_path / "c.json"), "unit-test", every=0)
-
-    def test_telemetry_counters(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        registry = telemetry.MetricsRegistry()
-        with telemetry.use_registry(registry):
-            writer = Checkpointer(path, "unit-test")
-            writer.record(0, 1)
-            writer.record(1, 2)
-        assert registry.counter("resilience.checkpoints").value == 2
-        assert registry.counter("resilience.checkpoint_bytes").value > 0
-        registry = telemetry.MetricsRegistry()
-        with telemetry.use_registry(registry):
-            Checkpointer(path, "unit-test")
-        assert registry.counter("resilience.chunks_restored").value == 2
-
-    def test_map_skips_checkpointed_chunks(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        seeded = Checkpointer(path, "unit-test")
-        seeded.record(1, "canned")  # deliberately not _square(2)
-        results = ParallelMap(workers=1).map(
-            _square, [1, 2, 3], checkpoint=seeded)
-        # the recorded value fills the slot without re-execution
-        assert results == [1, "canned", 9]
-
-
 # -- acceptance: solve_ensemble under faults and across a kill --------------
 
 class TestEnsembleResilience:
@@ -473,26 +357,64 @@ class TestEnsembleResilience:
     def test_killed_then_resumed_equals_uninterrupted(self, tmp_path):
         formula = planted_ksat(**self.FORMULA_ARGS)
         uninterrupted = solve_ensemble(formula, workers=1, **self.RUN_ARGS)
-        path = str(tmp_path / "ensemble.json")
-        # first run: chunk 2 fails on every attempt -> the run dies with
-        # a partial checkpoint on disk
+        cache_dir = str(tmp_path / "cache")
+        # first run: chunk 2 fails on every attempt -> the run dies, but
+        # chunks 0-1 were stored in the cache directory as they finished
         with use_faults("2:1:raise,2:2:raise,2:3:raise"):
             with pytest.raises(ParallelError):
                 solve_ensemble(formula, workers=1, retry=_FAST,
-                               checkpoint=path, **self.RUN_ARGS)
-        document = json.load(open(path))
-        assert sorted(document["chunks"]) == ["0", "1"]
-        # second run: resume fills chunks 0-1 from disk, computes only 2
-        resumed = solve_ensemble(formula, workers=1, checkpoint=path,
-                                 **self.RUN_ARGS)
+                               cache=ResultCache(cache_dir), **self.RUN_ARGS)
+        # second run, reading the directory as a fresh process would:
+        # chunks 0-1 are hits, only chunk 2 executes (and is stored)
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            resumed = solve_ensemble(formula, workers=1, retry=_FAST,
+                                     cache=ResultCache(cache_dir),
+                                     **self.RUN_ARGS)
         assert np.array_equal(uninterrupted.solve_steps,
                               resumed.solve_steps)
+        assert registry.counter("cache.hits").value == 2
+        assert registry.counter("cache.stores").value == 1
+        assert registry.counter("parallel.tasks").value == 1
 
-    def test_resume_refuses_mismatched_workload(self, tmp_path):
-        formula = planted_ksat(**self.FORMULA_ARGS)
-        path = str(tmp_path / "ensemble.json")
-        solve_ensemble(formula, workers=1, checkpoint=path, **self.RUN_ARGS)
-        wrong_seed = dict(self.RUN_ARGS, rng=3)
-        with pytest.raises(ResilienceError, match="refusing to resume"):
-            solve_ensemble(formula, workers=1, resume_from=path,
-                           **wrong_seed)
+
+class TestResumeDirectoryIsContentAddressed:
+    """A cache directory resumes only the workload that wrote it: a
+    different workload of the same shape, chunked the same way and run
+    against the same directory, computes its own answer."""
+
+    def test_measure_pairs_other_pairs(self, tmp_path):
+        unit = OscillatorDistanceUnit()
+        first = np.array([[10.0, 200.0], [30.0, 35.0], [0.0, 255.0],
+                          [90.0, 60.0]])
+        second = first * 0.5
+        expected = unit.measure_batch(second[:, 0], second[:, 1]).tolist()
+        stale = unit.measure_pairs(first, chunk_size=2, cache=str(tmp_path))
+        assert stale != expected
+        assert unit.measure_pairs(second, chunk_size=2,
+                                  cache=str(tmp_path)) == expected
+
+    def test_solve_ensemble_other_formula(self, tmp_path):
+        run_args = dict(batch=6, max_steps=15_000, chunk_size=2, rng=2)
+        first = planted_ksat(15, 55, rng=1)
+        second = planted_ksat(15, 55, rng=4)
+        expected = solve_ensemble(second, cache=False, **run_args)
+        stale = solve_ensemble(first, cache=str(tmp_path), **run_args)
+        assert not np.array_equal(stale.solve_steps, expected.solve_steps)
+        resumed = solve_ensemble(second, cache=str(tmp_path), **run_args)
+        assert np.array_equal(resumed.solve_steps, expected.solve_steps)
+
+    def test_runtime_other_angles(self, tmp_path):
+        def circuit(angle):
+            return QuantumCircuit(2).ry(0, angle).ry(1, 2 * angle) \
+                .cnot(0, 1).measure_all()
+
+        run_args = dict(shots=48, rng=4, chunk_size=12)
+        expected = QuantumRuntime().run(circuit(1.3), cache=False,
+                                        **run_args)
+        stale = QuantumRuntime().run(circuit(0.4), cache=str(tmp_path),
+                                     **run_args)
+        assert stale.counts != expected.counts
+        resumed = QuantumRuntime().run(circuit(1.3), cache=str(tmp_path),
+                                       **run_args)
+        assert resumed.counts == expected.counts

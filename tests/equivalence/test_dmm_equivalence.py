@@ -7,10 +7,13 @@ every worker count -- all under ``np.array_equal``, never ``allclose``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import integrators
+from repro.core import integrators, resilience, telemetry
+from repro.core.cache import ResultCache
+from repro.core.exceptions import ParallelError
 from repro.core.rngs import make_rng
 from repro.core.sat_instances import planted_ksat, random_ksat
 from repro.memcomputing.ensemble import BatchedDmm, solve_ensemble
@@ -108,12 +111,21 @@ class TestEnsembleWorkerStability:
         assert np.array_equal(first.solve_steps, second.solve_steps)
 
     def test_checkpoint_resumes_across_worker_counts(self, tmp_path):
-        path = str(tmp_path / "ensemble.ckpt")
+        """A serial run killed at chunk 1 leaves chunks 0 and 2 in its
+        cache directory; a 2-worker re-run executes only chunk 1."""
+        run_args = dict(batch=12, max_steps=2_000, rng=5, chunk_size=4)
         formula = planted_ksat(10, 40, rng=7)
-        full = solve_ensemble(formula, batch=12, max_steps=2_000, rng=5,
-                              workers=1, chunk_size=4)
-        solve_ensemble(formula, batch=12, max_steps=2_000, rng=5,
-                       workers=1, chunk_size=4, checkpoint=path)
-        resumed = solve_ensemble(formula, batch=12, max_steps=2_000, rng=5,
-                                 workers=2, chunk_size=4, resume_from=path)
+        full = solve_ensemble(formula, workers=1, **run_args)
+        with resilience.use_faults("1:1:raise"):
+            with pytest.raises(ParallelError):
+                solve_ensemble(formula, workers=1,
+                               cache=ResultCache(str(tmp_path)), **run_args)
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            resumed = solve_ensemble(formula, workers=2,
+                                     cache=ResultCache(str(tmp_path)),
+                                     **run_args)
         assert np.array_equal(full.solve_steps, resumed.solve_steps)
+        assert registry.counter("cache.hits").value == 2
+        assert registry.counter("cache.stores").value == 1
+        assert registry.counter("parallel.tasks").value == 1

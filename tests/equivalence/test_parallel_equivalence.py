@@ -2,11 +2,11 @@
 
 ``ParallelMap`` runs a map either inline in the calling process or on
 the persistent worker pool.  Everything that decides *what* a chunk
-computes -- chunking, per-chunk RNG spawning, cache keys, checkpoints,
-the telemetry merge at join -- sits above that choice, so the two paths
-must be bit-identical: results (exact equality, never ``allclose``),
-spawned-RNG final states, merged telemetry snapshots, cache entries, and
-checkpoints that resume from one path on the other.
+computes -- chunking, per-chunk RNG spawning, cache keys, the telemetry
+merge at join -- sits above that choice, so the two paths must be
+bit-identical: results (exact equality, never ``allclose``),
+spawned-RNG final states, merged telemetry snapshots, and cache entries,
+including those of a killed run that the other path resumes.
 """
 
 import numpy as np
@@ -149,10 +149,9 @@ class TestCheckpointEquivalence:
         formula = planted_ksat(**FORMULA_ARGS)
         uninterrupted = solve_ensemble(formula, workers=inline_chunked,
                                        **RUN_ARGS)
-        path = str(tmp_path / "ensemble.json")
-        # The pool run fails chunk 2 on every attempt and leaves a
-        # partial checkpoint; the plan is uninstalled before the
-        # resume, which must run fault-free.
+        # The pool run fails chunk 2 on every attempt and leaves the
+        # other chunks in its cache directory; the plan is uninstalled
+        # before the resume, which must run fault-free.
         plan = resilience.FaultPlan.from_spec(
             "2:1:raise,2:2:raise,2:3:raise")
         previous = resilience.set_fault_plan(plan)
@@ -162,14 +161,18 @@ class TestCheckpointEquivalence:
                     formula, workers=2,
                     retry=resilience.RetryPolicy(max_attempts=3,
                                                  backoff_base=0.0),
-                    checkpoint=path, **RUN_ARGS)
+                    cache=cache_module.ResultCache(str(tmp_path)),
+                    **RUN_ARGS)
         finally:
             resilience.set_fault_plan(previous)
         registry = telemetry.MetricsRegistry()
         with telemetry.use_registry(registry):
-            resumed = solve_ensemble(formula, workers=inline_chunked,
-                                     checkpoint=path, **RUN_ARGS)
+            resumed = solve_ensemble(
+                formula, workers=inline_chunked,
+                cache=cache_module.ResultCache(str(tmp_path)), **RUN_ARGS)
         assert np.array_equal(uninterrupted.solve_steps,
                               resumed.solve_steps)
-        restored = registry.counter("resilience.chunks_restored").value
-        assert restored > 0  # the pool run's chunks fed the inline run
+        # the pool run's chunks fed the inline run: only chunk 2 ran
+        assert registry.counter("cache.hits").value == 2
+        assert registry.counter("cache.stores").value == 1
+        assert registry.counter("parallel.tasks").value == 1

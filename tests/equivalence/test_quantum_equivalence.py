@@ -9,10 +9,13 @@ worker count.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import parallel
+from repro.core import parallel, resilience, telemetry
+from repro.core.cache import ResultCache
+from repro.core.exceptions import ParallelError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.microarch import MicroArchitecture, assemble
 from repro.quantum.runtime import QuantumRuntime
@@ -157,21 +160,34 @@ class TestRuntimeWorkerStability:
         runtime = QuantumRuntime(MicroArchitecture(2))
         cbits = [op.cbit for op in circuit.measure_ops]
         sizes = parallel.chunk_sizes(64, 16)
-        meta = runtime._cache_meta(circuit, 64, cbits, 42, sizes=sizes)
-        again = runtime._cache_meta(circuit, 64, cbits, 42, sizes=sizes)
+        meta = result_cache.seeded_meta(
+            lambda: runtime._cache_meta(circuit, 64, cbits), 42,
+            sizes=sizes)
+        again = result_cache.seeded_meta(
+            lambda: runtime._cache_meta(circuit, 64, cbits), 42,
+            sizes=sizes)
         # the fingerprint has no worker-count input at all
         assert result_cache.digest(meta) == result_cache.digest(again)
 
     def test_checkpoint_resumes_across_worker_counts(self, tmp_path):
-        path = str(tmp_path / "shots.ckpt")
+        """A serial run killed at block 2 leaves the other three blocks
+        in its cache directory; a 2-worker re-run executes only block
+        2."""
         circuit = random_circuit(2, 10, 5, False)
+        run_args = dict(shots=48, rng=4, chunk_size=12)
         full = QuantumRuntime(MicroArchitecture(2)).run(
-            circuit, shots=48, rng=4, workers=1, chunk_size=12)
-        partial = QuantumRuntime(MicroArchitecture(2)).run(
-            circuit, shots=48, rng=4, workers=1, chunk_size=12,
-            checkpoint=path)
-        resumed = QuantumRuntime(MicroArchitecture(2)).run(
-            circuit, shots=48, rng=4, workers=2, chunk_size=12,
-            resume_from=path)
-        assert partial.counts == full.counts
+            circuit, workers=1, **run_args)
+        with resilience.use_faults("2:1:raise"):
+            with pytest.raises(ParallelError):
+                QuantumRuntime(MicroArchitecture(2)).run(
+                    circuit, workers=1, cache=ResultCache(str(tmp_path)),
+                    **run_args)
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            resumed = QuantumRuntime(MicroArchitecture(2)).run(
+                circuit, workers=2, cache=ResultCache(str(tmp_path)),
+                **run_args)
         assert resumed.counts == full.counts
+        assert registry.counter("cache.hits").value == 3
+        assert registry.counter("cache.stores").value == 1
+        assert registry.counter("parallel.tasks").value == 1
