@@ -47,7 +47,7 @@ test-goldens:
 		$(PYTHON) -m pytest tests/goldens -q
 
 # Differential-equivalence tier: the batched fast paths (statevector
-# shots, DMM ensemble RHS, oscillator sweeps, tiled VMM) held
+# shots, DMM ensemble RHS, oscillator sweeps, FAST detect, tiled VMM) held
 # bit-identical (np.array_equal, never allclose) to the retained scalar
 # reference paths, across dtypes, batch sizes, and worker counts.  See
 # tests/equivalence/ and docs/parallelism.md.

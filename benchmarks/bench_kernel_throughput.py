@@ -1,4 +1,4 @@
-"""Per-kernel throughput: the four paradigm hot paths, one rate each.
+"""Per-kernel throughput: the paradigm hot paths, one rate each.
 
 ROADMAP item 1 asks for throughput benchmarks on the paradigm kernels
 "so wins are pinned to numbers".  The profiler
@@ -13,6 +13,8 @@ paradigm's innermost batch:
   :func:`solve_ensemble` (the batched RHS across the whole ensemble);
 * ``oscillator.distance.pairs``    -- pixel-pair comparisons / s in
   :meth:`OscillatorDistanceUnit.measure_pairs`;
+* ``oscillator.fast.pixels``       -- segment-tested pixels / s in
+  :meth:`OscillatorFastDetector.detect`;
 * ``inmemory.vmm.ops``             -- multiply-accumulates / s in
   :meth:`AnalogVmm.multiply_batch`.
 
@@ -37,6 +39,7 @@ from repro.inmemory.vmm import AnalogVmm
 from repro.memcomputing.ensemble import solve_ensemble
 from repro.memcomputing.solver import DmmSolver
 from repro.oscillators.distance import OscillatorDistanceUnit
+from repro.oscillators.fast import OscillatorFastDetector, rectangle_image
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.runtime import QuantumRuntime
 
@@ -47,6 +50,10 @@ SAT_CLAUSES = 210
 ENSEMBLE_BATCH = 32
 ENSEMBLE_MAX_STEPS = 60_000
 PAIR_COUNT = 20_000
+FAST_SIZE = 48
+FAST_THRESHOLD = 30.0
+FAST_N = 9
+FAST_CALLS = 10
 VMM_SIZE = 48
 VMM_BATCH = 50
 
@@ -93,6 +100,14 @@ def _run_oscillator(registry):
     return _rate(registry, "oscillator.distance.pairs")
 
 
+def _run_fast(registry):
+    image, _corners = rectangle_image(FAST_SIZE, FAST_SIZE)
+    detector = OscillatorFastDetector(threshold=FAST_THRESHOLD, n=FAST_N)
+    for _ in range(FAST_CALLS):
+        assert detector.detect(image)
+    return _rate(registry, "oscillator.fast.pixels")
+
+
 def _run_vmm(registry):
     rng = make_rng(1)
     vmm = AnalogVmm(rng.standard_normal((VMM_SIZE, VMM_SIZE)), rng=rng)
@@ -109,6 +124,9 @@ KERNELS = [
      % (SAT_VARIABLES, ENSEMBLE_BATCH), _run_dmm_ensemble),
     ("oscillator", "pairs/s", "%d pixel pairs" % PAIR_COUNT,
      _run_oscillator),
+    ("fast", "pixels/s", "%dx%d rectangle, t=%g, n=%d, %d calls"
+     % (FAST_SIZE, FAST_SIZE, FAST_THRESHOLD, FAST_N, FAST_CALLS),
+     _run_fast),
     ("inmemory", "MACs/s", "%dx%d crossbar, batch of %d"
      % (VMM_SIZE, VMM_SIZE, VMM_BATCH), _run_vmm),
 ]
@@ -131,7 +149,7 @@ def test_kernel_throughput(benchmark):
             for paradigm, unit_label, workload, rate, units in results]
     emit_table(
         "kernel_throughput",
-        "Per-kernel throughput of the four paradigm hot paths",
+        "Per-kernel throughput of the paradigm hot paths",
         ["paradigm", "workload", "units", "rate", "unit"],
         rows,
         notes=["Rates are the mean of the kernel's *_per_s throughput "

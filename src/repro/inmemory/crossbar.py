@@ -164,11 +164,12 @@ class Crossbar:
         ``voltage_matrix`` has shape ``(batch, rows)``; returns
         ``(batch, cols)`` currents.  Row ``b`` of the result is
         bit-identical to ``analog_read(voltage_matrix[b], ...)`` with
-        the same generator: each row runs the same matrix-vector product
-        (and, with noise, draws its noise vector in the same per-read
-        order), so batching is purely an amortization of the Python and
-        cache-lookup overhead -- the differential equivalence tier holds
-        it to that.
+        the same generator: the rows run as one stack of the same
+        matrix-vector products, and the noise is one ``(batch, cols)``
+        draw, which takes the same values in the same order as one
+        draw per read and leaves the generator in the same state.  So
+        batching only amortizes the Python and cache-lookup overhead
+        -- the differential equivalence tier holds it to that.
         """
         voltages = np.asarray(voltage_matrix, dtype=float)
         if voltages.ndim != 2 or voltages.shape[1] != self.rows:
@@ -176,16 +177,16 @@ class Crossbar:
         batch = voltages.shape[0]
         self._analog_read_counter.inc(batch)
         self._mac_counter.inc(batch * self.rows * self.cols)
-        conductances = self._conductances()
-        currents = np.empty((batch, self.cols))
-        for index in range(batch):
-            currents[index] = voltages[index] @ conductances
+        # a stack of (1, rows) @ (rows, cols) products runs the same
+        # matrix-vector kernel as analog_read per row; a plain
+        # ``voltages @ G`` matrix product would sum in another order
+        currents = np.matmul(voltages[:, None, :],
+                             self._conductances())[:, 0, :]
         if noise_sigma > 0.0:
             rng = make_rng(rng)
-            for index in range(batch):
-                scale = np.abs(currents[index]) + 1e-12
-                currents[index] = currents[index] + rng.normal(
-                    0.0, noise_sigma, size=self.cols) * scale
+            scale = np.abs(currents) + 1e-12
+            currents = currents + rng.normal(
+                0.0, noise_sigma, size=currents.shape) * scale
         return currents
 
     def __repr__(self):

@@ -128,12 +128,11 @@ class AnalogVmm:
         """Compute ``vectors[b] @ weights`` for a stack of inputs.
 
         Bit-identical to calling :meth:`multiply` on each row with the
-        same generator: per-row voltage scaling, the per-row
-        matrix-vector products (via
-        :meth:`Crossbar.analog_read_batch`), and the per-read noise
-        draw order all match the scalar path exactly -- batching only
-        amortizes the Python, telemetry, and conductance-lookup
-        overhead across the stack.
+        same generator: per-row voltage scaling, the stacked
+        matrix-vector products and the one noise draw of
+        :meth:`Crossbar.analog_read_batch` all match the scalar path
+        exactly -- batching only amortizes the Python, telemetry, and
+        conductance-lookup overhead across the stack.
         """
         vectors = np.asarray(vectors, dtype=float)
         if vectors.ndim != 2 or vectors.shape[1] != self.weights.shape[0]:
@@ -146,10 +145,10 @@ class AnalogVmm:
             registry.counter("inmemory.vmm.multiplies").inc(batch)
             registry.counter("inmemory.vmm.macs").inc(batch * n_in * n_out)
             start = time.perf_counter()
-        v_scales = np.empty(batch)
-        for index in range(batch):
-            v_scales[index] = (float(np.max(np.abs(vectors[index])))
-                               or 1.0)
+        # per-row full scale; an all-zero row scales by 1.0 (the
+        # scalar path's ``or 1.0``) and NaN propagates as it does there
+        v_scales = np.max(np.abs(vectors), axis=1)
+        v_scales[v_scales == 0.0] = 1.0
         voltages = vectors / v_scales[:, None] * v_read
         currents = self.crossbar.analog_read_batch(
             voltages, noise_sigma=noise_sigma, rng=rng)

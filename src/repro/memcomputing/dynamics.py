@@ -172,8 +172,10 @@ class DmmSystem:
         q, big_c = self.clause_functions(v)
         m_rows, width = q.shape
 
-        # gradient term: for slot i, min over the *other* slots
-        order = np.argsort(q, axis=1)
+        # gradient term: for slot i, min over the *other* slots.  The
+        # sort is stable so a tie picks the first slot, a real literal:
+        # padding repeats the last one after it, and is masked out
+        order = np.argsort(q, axis=1, kind="stable")
         smallest = q[np.arange(m_rows), order[:, 0]]
         second = q[np.arange(m_rows), order[:, 1]]
         min_others = np.where(

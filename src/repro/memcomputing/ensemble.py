@@ -147,7 +147,7 @@ class BatchedDmm:
         # per-literal q: (B, M, K)
         q = 0.5 * (1.0 - system.sign[None, :, :]
                    * v[:, system.var_index])
-        order = np.argsort(q, axis=2)
+        order = np.argsort(q, axis=2, kind="stable")  # see DmmSystem.rhs
         batch_index = np.arange(states.shape[0])[:, None]
         row_index = np.arange(m)[None, :]
         smallest = q[batch_index, row_index, order[:, :, 0]]

@@ -190,28 +190,30 @@ class OscillatorDistanceUnit:
         the whole array at once instead of pair-at-a-time through the
         interpreter.  Physical mode has no dense form (each comparison
         is an ODE integration) and falls back to the scalar loop.
-        Telemetry counts every element in ``oscillator.distance.evals``;
-        ``eval_seconds`` sees one observation per batch.
+        In both modes telemetry counts every element in
+        ``oscillator.distance.evals``; ``eval_seconds`` sees one
+        observation per batch.
         """
         a = np.asarray(intensities_a, dtype=float)
         b = np.asarray(intensities_b, dtype=float)
         if a.shape != b.shape:
             raise OscillatorError("intensity array shape mismatch")
-        if self.mode != "behavioral":
-            flat_a, flat_b = a.ravel(), b.ravel()
-            return np.array([self._measure(x, y)
-                             for x, y in zip(flat_a, flat_b)]
-                            ).reshape(a.shape)
         if self._eval_timer:
             start = time.perf_counter()
-        v_a = self.base_v_gs \
-            + (a / self.intensity_scale - 0.5) * self.v_gs_span
-        v_b = self.base_v_gs \
-            + (b / self.intensity_scale - 0.5) * self.v_gs_span
-        delta = np.abs(v_a - v_b)
-        response = self.behavioral_baseline \
-            + self.behavioral_scale * np.power(delta, self.norm_exponent)
-        measures = np.minimum(1.0, response)
+        if self.mode == "behavioral":
+            v_a = self.base_v_gs \
+                + (a / self.intensity_scale - 0.5) * self.v_gs_span
+            v_b = self.base_v_gs \
+                + (b / self.intensity_scale - 0.5) * self.v_gs_span
+            delta = np.abs(v_a - v_b)
+            response = self.behavioral_baseline \
+                + self.behavioral_scale \
+                * np.power(delta, self.norm_exponent)
+            measures = np.minimum(1.0, response)
+        else:
+            measures = np.array([self._measure(x, y)
+                                 for x, y in zip(a.ravel(), b.ravel())]
+                                ).reshape(a.shape)
         if self._eval_timer:
             self._eval_timer.observe(time.perf_counter() - start)
             self._eval_counter.inc(a.size)

@@ -31,7 +31,14 @@ def circle_intensities(image, row, col):
 
 def interior_pixels(image):
     """Iterate (row, col) of every pixel with the full circle in range."""
+    for row, col in interior_pixel_array(image).tolist():
+        yield row, col
+
+
+def interior_pixel_array(image):
+    """:func:`interior_pixels` as one ``(count, 2)`` array, row-major."""
     height, width = np.asarray(image).shape
-    for row in range(3, height - 3):
-        for col in range(3, width - 3):
-            yield row, col
+    rows = np.arange(3, height - 3)
+    cols = np.arange(3, width - 3)
+    return np.stack([np.repeat(rows, len(cols)), np.tile(cols, len(rows))],
+                    axis=1)

@@ -21,12 +21,18 @@ algorithm" -- the detector tracks primitive invocations so the power /
 throughput models can charge for them.
 """
 
+import time
+
 import numpy as np
 
-from ...core import parallel, telemetry
+from ...core import parallel, profiling, telemetry
 from ...core import cache as result_cache
 from ..distance import OscillatorDistanceUnit
-from .bresenham import circle_intensities, interior_pixels
+from .bresenham import (CIRCLE_OFFSETS_R3, circle_intensities,
+                        interior_pixel_array)
+
+#: The circle offsets as a ``(16, 2)`` index array.
+_RING = np.array(CIRCLE_OFFSETS_R3)
 
 
 def _encode_block(value):
@@ -88,6 +94,20 @@ def _circular_runs(flags):
     return runs
 
 
+def _has_run(flags, n):
+    """Rows of a ``(pixels, 16)`` flag array with a circular run >= ``n``.
+
+    A run of ``n`` starts at position ``s`` when the flags at ``s`` ..
+    ``s + n - 1`` (mod 16) are all set: their sum, read off a cumulative
+    sum over the row with its first ``n - 1`` flags appended, is ``n``.
+    """
+    size = flags.shape[1]
+    wrapped = np.concatenate([flags, flags[:, :n - 1]], axis=1)
+    counts = np.zeros((len(flags), size + n), dtype=np.intp)
+    np.cumsum(wrapped, axis=1, out=counts[:, 1:])
+    return ((counts[:, n:] - counts[:, :size]) == n).any(axis=1)
+
+
 class OscillatorFastDetector:
     """The Fig. 6 detector: oscillator distance step + rejection step.
 
@@ -143,10 +163,48 @@ class OscillatorFastDetector:
         return False
 
     def _scan(self, image, pixels):
-        """Segment-test ``pixels``: ``(corners, comparisons, pixels)``."""
-        corners = [(row, col) for row, col in pixels
-                   if self.is_corner(image, row, col)]
-        return corners, self._comparisons, len(pixels)
+        """Segment-test ``pixels``: ``(corners, comparisons, pixels)``.
+
+        :meth:`is_corner` on every row of the ``(count, 2)`` array
+        ``pixels`` of the float ``image``, batched.  Step 1 gathers every
+        pixel's circle with one index and scores it against the centre
+        in one
+        :meth:`~repro.oscillators.distance.OscillatorDistanceUnit.measure_batch`,
+        against levels computed once per call.  Step 2 runs in pixel
+        order on the pixels with a flagged run of at least ``n`` only,
+        and stops where :meth:`is_corner` stops, so the corners and the
+        comparison count (and ``oscillator.distance.evals``) are the
+        per-pixel test's.
+        """
+        if not len(pixels):
+            return [], 0, 0
+        rows, cols = pixels[:, :1], pixels[:, 1:]
+        circles = image[rows + _RING[:, 0], cols + _RING[:, 1]]
+        centers = np.broadcast_to(image[rows, cols], circles.shape)
+        unit = self.distance_unit
+        # step 1: every pixel's 16 unsigned distance tests at once
+        flagged = unit.measure_batch(circles, centers) \
+            > unit.measure_threshold(self.threshold)
+        comparisons = flagged.size
+        # step 2: the adjacent-similarity check, as in is_corner
+        similar = unit.measure_threshold(2.0 * self.threshold)
+        size = len(_RING)
+        corners = []
+        for index in np.flatnonzero(_has_run(flagged, self.n)):
+            circle = circles[index].tolist()
+            for start, length in _circular_runs(flagged[index]):
+                if length < self.n:
+                    continue
+                for offset in range(length - 1):
+                    comparisons += 1
+                    if unit.measure(circle[(start + offset) % size],
+                                    circle[(start + offset + 1) % size]) \
+                            > similar:
+                        break
+                else:  # no adjacent pair differs: a corner
+                    corners.append(tuple(pixels[index].tolist()))
+                    break
+        return corners, comparisons, len(pixels)
 
     def _cache_meta(self, image):
         """Cache fingerprint: detector knobs + image content hash."""
@@ -172,23 +230,26 @@ class OscillatorFastDetector:
         ``last_stats`` and the ``oscillator.fast.*`` counters replay on
         a hit.
         """
-        self._comparisons = 0
-        pixel_list = list(interior_pixels(image))
+        start = time.perf_counter()
+        pixel_array = interior_pixel_array(image)
+        float_image = np.asarray(image, dtype=float)
         with telemetry.span("oscillator.fast.detect") as detect_span:
             corners, self._comparisons, pixels = parallel.run_workload(
                 "oscillator-fast", _detect_chunk,
                 lambda low, high, _rng: (
                     self.threshold, self.n, self.distance_unit.config(),
-                    np.asarray(image, dtype=float), pixel_list[low:high]),
-                len(pixel_list), _merge_blocks,
+                    float_image, pixel_array[low:high]),
+                len(pixel_array), _merge_blocks,
                 lambda: self._cache_meta(image),
-                inline=lambda: self._scan(image, pixel_list),
+                inline=lambda: self._scan(float_image, pixel_array),
                 encode=_encode_block, decode=_decode_block,
                 workers=workers, chunk_size=chunk_size, timeout=timeout,
                 retry=retry, cache=cache)
             detect_span.set_attr("pixels", pixels)
             detect_span.set_attr("corners", len(corners))
             detect_span.set_attr("comparisons", self._comparisons)
+        profiling.record_throughput("oscillator.fast.pixels", pixels,
+                                    time.perf_counter() - start)
         registry = telemetry.get_registry()
         if registry.enabled:
             registry.counter("oscillator.fast.detections").inc()

@@ -7,7 +7,7 @@ with one shared generator -- ``np.array_equal`` throughout.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.rngs import make_rng
@@ -65,12 +65,19 @@ class TestTiledVsNaive:
 class TestBatchVsLoopedMultiply:
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2 ** 16), batch=st.sampled_from(BATCH_SIZES),
-           noise=st.sampled_from([0.0, 0.02]))
-    def test_analog_vmm_batch_matches_loop(self, seed, batch, noise):
-        weights = random_weights(seed)
+           noise=st.sampled_from([0.0, 0.02]), shape=st.just((6, 5)))
+    # BLAS-sized: the stacked matrix-vector products must still equal
+    # one product per row (a plain (batch, n_in) @ G GEMM would not)
+    @example(seed=1, batch=300, noise=0.0, shape=(128, 128))
+    @example(seed=1, batch=300, noise=0.02, shape=(128, 128))
+    def test_analog_vmm_batch_matches_loop(self, seed, batch, noise,
+                                           shape):
+        weights = random_weights(seed, shape=shape)
         vmm = AnalogVmm(weights, variability=0.05, rng=seed)
         vectors = np.random.default_rng(seed + 1).uniform(
             -1.0, 1.0, size=(batch, weights.shape[0]))
+        if batch > 1:
+            vectors[batch // 2] = 0.0  # scales by 1.0 on both paths
         batched = vmm.multiply_batch(vectors, noise_sigma=noise,
                                      rng=make_rng(7))
         loop_rng = make_rng(7)

@@ -10,6 +10,7 @@ from repro.core.exceptions import MemcomputingError
 from repro.core.rngs import make_rng
 from repro.core.sat_instances import planted_ksat
 from repro.memcomputing.dynamics import DEFAULT_PARAMS, DmmSystem
+from repro.memcomputing.ensemble import BatchedDmm
 
 
 def single_clause_system(literals):
@@ -116,6 +117,24 @@ class TestVectorField:
         dv_base = base.rhs(0.0, state)[:3]
         dv_heavy = heavy.rhs(0.0, state)[:3]
         assert np.allclose(dv_heavy, 4.0 * dv_base)
+
+    @pytest.mark.parametrize("field", ["rhs", "rhs_batch"])
+    def test_tie_with_padding_drives_the_real_literal(self, field):
+        # (1 2 3) is padded to (1 2 3 3) next to a 4-literal clause.  Its
+        # literal 3 ties with the padded copy as the clause minimum
+        # (q = 0.05); the rigidity drive must go to the real slot, not
+        # to the masked copy, whatever the host's sort does on ties.
+        formula = CnfFormula([Clause([1, 2, 3, 4]), Clause([1, 2, 3])])
+        state = np.concatenate([[-0.5, -0.4, 0.9, -0.2], [0.5, 0.5],
+                                [1.0, 1.0]])
+        if field == "rhs":
+            dv = DmmSystem(formula).rhs(0.0, state)[:4]
+        else:
+            dv = BatchedDmm(formula).rhs_batch(state[None, :])[0, :4]
+        # variable 3 is each clause's best slot: G = 0.5 x_l x_s min_others
+        # (0.15 and 0.0125) plus R = (1 + zeta x_l)(1 - x_s)(1 - v_3) / 2
+        # = 0.55 * 0.05 from each clause
+        assert dv[2] == pytest.approx(0.15 + 0.0125 + 2 * 0.55 * 0.05)
 
     def test_solution_is_fixed_point_of_voltages(self):
         formula, plant = planted_ksat(12, 40, rng=3,
