@@ -12,9 +12,6 @@ Small utilities a downstream user reaches for first:
 * ``serve``      -- long-running asyncio HTTP job service over the
   kernels: priority admission, request coalescing, and the result
   cache as a multi-tenant store (see ``docs/serving.md``).
-* ``slo``        -- evaluate a declarative SLO spec against a saved
-  metrics snapshot; ``slo check`` exits nonzero on breach, so it slots
-  straight into CI (see ``docs/observability.md``).
 * ``reproduce``  -- how to regenerate every paper figure/claim.
 
 ``solve``, ``factor``, and ``distance`` accept the shared observability
@@ -294,10 +291,6 @@ def _build_parser():
                        metavar="N",
                        help="jobs dispatched concurrently (default: "
                             "%(default)s)")
-    serve.add_argument("--slo", metavar="PATH", default=None,
-                       help="SLO spec (TOML or JSON) served at /v1/slo "
-                            "as a burn-rate report (see "
-                            "docs/observability.md)")
     serve.add_argument("--flight-dir", metavar="PATH", default=None,
                        help="directory for flight-recorder dumps: the "
                             "last --flight-events telemetry events are "
@@ -310,25 +303,6 @@ def _build_parser():
     _add_observability_flags(serve)
     _add_parallel_flags(serve)
     _add_cache_flags(serve)
-
-    slo = commands.add_parser(
-        "slo",
-        help="evaluate an SLO spec against a saved metrics snapshot",
-        description="Evaluate a declarative SLO spec (TOML or JSON) "
-                    "against a metrics snapshot saved from "
-                    "GET /v1/metrics or a benchmark results file with a "
-                    "'telemetry' key.  'check' prints the burn-rate "
-                    "report and exits 1 when any objective is breached "
-                    "-- a CI gate in one command.")
-    slo.add_argument("action", choices=("check",),
-                     help="'check': exit 0 when every objective holds, "
-                          "1 on breach, 2 on usage errors")
-    slo.add_argument("snapshot", metavar="SNAPSHOT",
-                     help="metrics snapshot JSON (a /v1/metrics body, "
-                          "or any JSON object with a 'telemetry' key "
-                          "holding one)")
-    slo.add_argument("--spec", metavar="PATH", required=True,
-                     help="SLO spec file (.toml or .json)")
 
     commands.add_parser("reproduce",
                         help="how to regenerate the paper's results")
@@ -549,22 +523,16 @@ def _run_serve(args, out):
 
     from .serve import JobService, ServeApp, ServeConfig
 
-    from .core.exceptions import SloError
-
-    try:
-        config = ServeConfig(
-            workers=args.workers, timeout=args.timeout,
-            retries=args.retries, cache=_cache_arg(args),
-            queue_depth=args.queue_depth,
-            tenant_quota=args.tenant_quota if args.tenant_quota > 0
-            else None,
-            batch_pairs=args.batch_pairs,
-            job_concurrency=args.job_concurrency,
-            slo=args.slo, flight_dir=args.flight_dir,
-            flight_events=args.flight_events)
-    except SloError as error:
-        out.write("error: %s\n" % error)
-        return 2
+    config = ServeConfig(
+        workers=args.workers, timeout=args.timeout,
+        retries=args.retries, cache=_cache_arg(args),
+        queue_depth=args.queue_depth,
+        tenant_quota=args.tenant_quota if args.tenant_quota > 0
+        else None,
+        batch_pairs=args.batch_pairs,
+        job_concurrency=args.job_concurrency,
+        flight_dir=args.flight_dir,
+        flight_events=args.flight_events)
 
     async def _serve():
         app = ServeApp(JobService(config), host=args.host, port=args.port)
@@ -572,7 +540,7 @@ def _run_serve(args, out):
         out.write("repro serve listening on http://%s:%d\n"
                   % (args.host, app.port))
         out.write("POST /v1/jobs; GET /v1/jobs/<id>, /v1/healthz, "
-                  "/v1/metrics, /v1/slo, /v1/stats; Ctrl-C stops\n")
+                  "/v1/metrics, /v1/stats; Ctrl-C stops\n")
         try:
             await app.serve_forever()
         finally:
@@ -583,71 +551,6 @@ def _run_serve(args, out):
     except KeyboardInterrupt:
         out.write("repro serve stopped\n")
     return 0
-
-
-def _render_slo_report(report, out):
-    """Human-readable burn-rate lines, one per objective."""
-    for entry in report["objectives"]:
-        scope = "kind=%s tenant=%s" % (entry["kind"], entry["tenant"])
-        verdict = "ok" if entry["ok"] else "BREACH"
-        parts = []
-        latency = entry.get("latency")
-        if latency is not None:
-            observed = latency["observed_ms"]
-            parts.append(
-                "p%02d %s / %gms objective (burn %s)"
-                % (round(latency["quantile"] * 100),
-                   "n/a" if observed is None else "%.1fms" % observed,
-                   latency["objective_ms"],
-                   "n/a" if latency["burn_rate"] is None
-                   else "%.2f" % latency["burn_rate"]))
-        errors = entry.get("errors")
-        if errors is not None:
-            rate = errors["observed_rate"]
-            parts.append(
-                "errors %s / %g objective (%d of %d jobs)"
-                % ("n/a" if rate is None else "%.4f" % rate,
-                   errors["objective_rate"], errors["errors"],
-                   errors["total"]))
-        out.write("%-7s %s [%s]: %s\n"
-                  % (verdict, entry["name"], scope, "; ".join(parts)))
-    counts = report["counts"]
-    out.write("%d objective(s), %d breached\n"
-              % (counts["total"], counts["breached"]))
-
-
-def _run_slo(args, out):
-    import json
-
-    from .core.exceptions import SloError
-    from .serve.slo import evaluate, load_slo
-
-    try:
-        spec = load_slo(args.spec)
-    except (OSError, SloError) as error:
-        out.write("error: %s\n" % error)
-        return 2
-    try:
-        with open(args.snapshot) as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        out.write("error: cannot read snapshot %r: %s\n"
-                  % (args.snapshot, error))
-        return 2
-    # A benchmark results file wraps the registry snapshot under a
-    # "telemetry" key; a /v1/metrics body *is* the snapshot.
-    if isinstance(data, dict) and isinstance(data.get("telemetry"), dict):
-        data = data["telemetry"]
-    if not isinstance(data, dict) or not all(
-            isinstance(entry, dict) and "kind" in entry
-            for entry in data.values()):
-        out.write("error: %r is not a metrics snapshot (expected a "
-                  "JSON object of metric entries, each with a 'kind')\n"
-                  % args.snapshot)
-        return 2
-    report = evaluate(spec, data)
-    _render_slo_report(report, out)
-    return 0 if report["ok"] else 1
 
 
 def _run_reproduce(_args, out):
@@ -671,7 +574,6 @@ def main(argv=None, out=None):
         "distance": _run_distance,
         "profile": _run_profile,
         "serve": _run_serve,
-        "slo": _run_slo,
         "reproduce": _run_reproduce,
     }
     if args.command is None:

@@ -116,6 +116,3 @@ class QueueFullError(ServeError):
 class QuotaError(ServeError):
     """Admission refused: the tenant is at its concurrency quota (429)."""
 
-
-class SloError(ServeError):
-    """An SLO spec is malformed or cannot be evaluated."""

@@ -760,11 +760,6 @@ def _merge_histogram_entries(a, b):
     return merged
 
 
-def merge_histogram_entries(a, b):
-    """Public histogram-entry merge (used by the SLO evaluator)."""
-    return _merge_histogram_entries(a, b)
-
-
 def merge_snapshots(a, b):
     """Pure merge of two registry snapshots into a new snapshot dict.
 

@@ -14,7 +14,6 @@ from .app import ServeApp, run_app
 from .coalesce import Coalescer, DistanceBatcher
 from .jobs import DONE, FAILED, QUEUED, RUNNING, Job, JobTable
 from .service import JobService, ServeConfig, validate_request
-from .slo import Objective, SloSpec, evaluate, load_slo
 
 __all__ = [
     "AdmissionQueue",
@@ -27,12 +26,8 @@ __all__ = [
     "Job",
     "JobTable",
     "JobService",
-    "Objective",
     "ServeApp",
     "ServeConfig",
-    "SloSpec",
-    "evaluate",
-    "load_slo",
     "run_app",
     "validate_request",
 ]

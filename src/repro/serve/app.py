@@ -15,7 +15,6 @@ It speaks just enough HTTP for job submission and polling:
 * ``GET /v1/metrics`` -- the telemetry registry snapshot;
   ``?format=prometheus`` renders the text exposition instead
   (:mod:`repro.core.exposition`).
-* ``GET /v1/slo`` -- burn-rate report of the configured SLO spec.
 * ``GET /v1/stats`` -- service counters (requests, coalesced, ...).
 
 Connections are keep-alive; bodies are JSON (string payloads render as
@@ -280,8 +279,6 @@ class ServeApp:
                 raise _HttpError(400, "unknown metrics format %r "
                                  "(expected 'json' or 'prometheus')" % fmt)
             return 200, snapshot
-        if path == "/v1/slo":
-            return 200, self.service.slo_report()
         if path == "/v1/stats":
             return 200, self.service.stats()
         raise _HttpError(404, "unknown path %r" % path)

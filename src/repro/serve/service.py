@@ -44,7 +44,6 @@ from ..core.exceptions import (JobValidationError, ParallelError,
                                ReproError)
 from ..core.parallel import resolve_workers
 from ..core.resilience import resolve_retry
-from . import slo as slo_module
 from . import jobs as jobs_module
 from .admission import (
     DEFAULT_MAX_DEPTH,
@@ -110,10 +109,6 @@ class ServeConfig:
         ahead of the pool, not parallelism inside it.
     retention : int
         Finished jobs kept for status polling.
-    slo : None, path, or SloSpec
-        Declarative latency/error objectives (:mod:`repro.serve.slo`);
-        a path is loaded eagerly so a bad spec fails at startup, not at
-        the first ``GET /v1/slo``.
     flight_dir : None or path
         Directory for flight-recorder dumps: a bounded ring of recent
         trace events written out when a job fails or a pool worker is
@@ -127,7 +122,7 @@ class ServeConfig:
                  tenant_quota=DEFAULT_TENANT_QUOTA,
                  batch_pairs=4096, job_concurrency=2,
                  retention=jobs_module.DEFAULT_RETENTION,
-                 slo=None, flight_dir=None, flight_events=256):
+                 flight_dir=None, flight_events=256):
         # Workers, timeout and retries are checked here so a bad value
         # fails at startup rather than in every job.
         self.workers = resolve_workers(workers)
@@ -143,9 +138,6 @@ class ServeConfig:
         self.batch_pairs = int(batch_pairs)
         self.job_concurrency = max(1, int(job_concurrency))
         self.retention = int(retention)
-        if isinstance(slo, (str, bytes)):
-            slo = slo_module.load_slo(slo)
-        self.slo = slo
         self.flight_dir = flight_dir
         self.flight_events = int(flight_events)
 
@@ -393,13 +385,6 @@ class JobService:
         self._executor = None
         self._own_registry = None
         self._flight = None
-        # History backing windowed SLO burn rates (only kept when some
-        # objective actually declares a window).
-        self._slo_window = None
-        if self.config.slo is not None and any(
-                objective.window_s is not None
-                for objective in self.config.slo.objectives):
-            self._slo_window = slo_module.SnapshotWindow()
         self._closing = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -659,7 +644,6 @@ class JobService:
         job.result = result
         job.error = error
         job.finished_at = time.monotonic()
-        outcome = "ok" if state == DONE else "error"
         if state == DONE:
             self.completed += 1
             self._tenant_bucket(job.tenant)["completed"] += 1
@@ -671,10 +655,6 @@ class JobService:
             if registry.enabled:
                 registry.counter("serve.failures").inc()
         if registry.enabled:
-            registry.counter("serve.outcomes",
-                             labels={"tenant": job.tenant,
-                                     "kind": job.kind,
-                                     "outcome": outcome}).inc()
             latency = job.finished_at - job.submitted_at
             registry.histogram("serve.latency_seconds").observe(latency)
             registry.histogram(
@@ -721,22 +701,3 @@ class JobService:
                         for tenant, bucket
                         in sorted(self.tenant_stats.items())},
         }
-
-    def slo_report(self):
-        """Burn-rate report of the configured SLO spec (the /v1/slo body).
-
-        Without a spec the report is trivially ok, with a note saying
-        how to load one.
-        """
-        if self.config.slo is None:
-            return {"ok": True, "objectives": [],
-                    "counts": {"total": 0, "breached": 0},
-                    "note": "no SLO spec loaded; start with --slo PATH"}
-        snapshot = telemetry.get_registry().snapshot()
-        report = slo_module.evaluate(self.config.slo, snapshot,
-                                     window=self._slo_window)
-        if self._slo_window is not None:
-            # Recorded after evaluating: this poll's snapshot becomes a
-            # candidate baseline for future windows, not its own.
-            self._slo_window.record(snapshot)
-        return report

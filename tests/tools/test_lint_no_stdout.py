@@ -1,7 +1,6 @@
 """Tests for the stdout lint's strict serve-path rule (PR 9): the
-serving stack (including the SLO evaluator and exposition path) cannot
-be exempted via the allowlist -- servers answer in response bodies,
-never on the process streams.
+serving stack cannot be exempted via the allowlist -- servers answer
+in response bodies, never on the process streams.
 """
 
 import io
@@ -37,7 +36,7 @@ class TestStrictServePaths:
 
     def test_allowlist_cannot_exempt_serve(self, tmp_path, monkeypatch):
         root = str(tmp_path)
-        relative = os.path.join("serve", "slo.py")
+        relative = os.path.join("serve", "service.py")
         _write_module(root, relative,
                       "import sys\n"
                       "def f():\n    sys.stdout.write('leak')\n")

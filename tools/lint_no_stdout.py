@@ -21,10 +21,9 @@ processes.  This walks ``src/repro`` ASTs and flags
   traceback; only the fault-injection harness
   (``core/resilience.py``'s ``kill`` faults) may use it,
 
-outside the allowlist.  The serving stack (``repro.serve``, including
-the SLO evaluator and the Prometheus exposition path) is *strict*: the
-allowlist cannot exempt it, because everything a server says belongs in
-an HTTP response body, never on the process streams.  Docstrings and
+outside the allowlist.  The serving stack (``repro.serve``) is
+*strict*: the allowlist cannot exempt it, because everything a server
+says belongs in an HTTP response body, never on the process streams.  Docstrings and
 comments are naturally exempt (they never parse as calls).  Run
 directly or via ``make lint``::
 
@@ -50,9 +49,8 @@ ALLOWLIST = frozenset({
 #: apply: the serving stack answers over HTTP response bodies, and its
 #: process stdout may be piped or captured by a supervisor -- a stray
 #: print would interleave with nothing useful and could corrupt
-#: log-shipping.  Exposition and SLO reports go through the response
-#: writer, never the process streams.  Adding a serve path to
-#: ALLOWLIST has no effect; these are linted unconditionally.
+#: log-shipping.  Adding a serve path to ALLOWLIST has no effect;
+#: these are linted unconditionally.
 STRICT_PREFIXES = ("serve" + os.sep,)
 
 #: Paths (relative to src/repro) allowed to call ``os._exit``: the
