@@ -46,7 +46,7 @@ from .exceptions import TelemetryError
 
 #: The only label keys instruments accept; anything else raises
 #: :class:`TelemetryError`.  Keeping the key space closed is what keeps
-#: exposition cardinality analyzable.
+#: label cardinality analyzable.
 LABEL_KEYS = ("kind", "outcome", "paradigm", "tenant")
 
 #: Distinct label-value combinations allowed per base metric name per
@@ -62,7 +62,7 @@ _LABEL_CACHE_MAX = 4096
 
 
 def _sanitize_label_value(value):
-    """Canonical, exposition-safe form of one label value."""
+    """Canonical form of one label value."""
     text = str(value)[:_LABEL_VALUE_MAX]
     text = "".join(ch if (ch.isalnum() or ch in "._-:") else "_"
                    for ch in text)

@@ -12,13 +12,10 @@ It speaks just enough HTTP for job submission and polling:
 * ``GET /v1/jobs/<id>`` -- job status; ``?wait=SECONDS`` long-polls
   until completion or the deadline.  404 for unknown ids.
 * ``GET /v1/healthz`` -- liveness.
-* ``GET /v1/metrics`` -- the telemetry registry snapshot;
-  ``?format=prometheus`` renders the text exposition instead
-  (:mod:`repro.core.exposition`).
+* ``GET /v1/metrics`` -- the telemetry registry snapshot.
 * ``GET /v1/stats`` -- service counters (requests, coalesced, ...).
 
-Connections are keep-alive; bodies are JSON (string payloads render as
-``text/plain`` -- the Prometheus exposition) and capped at
+Connections are keep-alive; bodies are JSON and capped at
 ``MAX_BODY_BYTES`` (413 beyond it).  All handling runs on the service's
 single event loop -- kernels run in the service's thread pool, so slow
 jobs never block new connections.
@@ -33,7 +30,7 @@ import asyncio
 import json
 import time
 
-from ..core import exposition, telemetry, tracing
+from ..core import telemetry, tracing
 from ..core.exceptions import (
     JobValidationError,
     QueueFullError,
@@ -232,17 +229,10 @@ class ServeApp:
         })
 
     async def _respond(self, writer, status, payload, extra_headers=None):
-        # A pre-rendered string (the Prometheus exposition) ships as
-        # text/plain; everything else is a JSON document.
-        if isinstance(payload, str):
-            body = payload.encode()
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-        else:
-            body = json.dumps(payload).encode()
-            content_type = "application/json"
+        body = json.dumps(payload).encode()
         headers = ["HTTP/1.1 %d %s" % (status,
                                        _REASONS.get(status, "Unknown")),
-                   "Content-Type: %s" % content_type,
+                   "Content-Type: application/json",
                    "Content-Length: %d" % len(body),
                    "Connection: keep-alive"]
         for name, value in (extra_headers or {}).items():
@@ -267,18 +257,7 @@ class ServeApp:
         if path == "/v1/healthz":
             return 200, {"status": "ok"}
         if path == "/v1/metrics":
-            fmt = "json"
-            for param in query.split("&"):
-                name, _, value = param.partition("=")
-                if name == "format" and value:
-                    fmt = value
-            snapshot = telemetry.get_registry().snapshot()
-            if fmt == "prometheus":
-                return 200, exposition.render_prometheus(snapshot)
-            if fmt != "json":
-                raise _HttpError(400, "unknown metrics format %r "
-                                 "(expected 'json' or 'prometheus')" % fmt)
-            return 200, snapshot
+            return 200, telemetry.get_registry().snapshot()
         if path == "/v1/stats":
             return 200, self.service.stats()
         raise _HttpError(404, "unknown path %r" % path)

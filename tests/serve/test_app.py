@@ -72,6 +72,17 @@ class TestEndpoints:
 
         asyncio.run(body())
 
+    def test_metrics_is_json_whatever_the_query(self):
+        async def body():
+            async with running_app() as app:
+                status, headers, metrics = await _request(
+                    app.port, "GET", "/v1/metrics?format=prometheus")
+                assert status == 200
+                assert headers["content-type"] == "application/json"
+                assert isinstance(metrics, dict)
+
+        asyncio.run(body())
+
     def test_submit_wait_returns_finished_job(self):
         async def body():
             async with running_app() as app:
@@ -166,6 +177,9 @@ class TestErrors:
                 assert status == 405
                 status, _, _doc = await _request(app.port, "GET",
                                                  "/v1/nothing")
+                assert status == 404
+                status, _, _doc = await _request(app.port, "GET",
+                                                 "/v1/slo")
                 assert status == 404
 
         asyncio.run(body())

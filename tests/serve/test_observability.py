@@ -1,52 +1,19 @@
 """Observability of the serving stack (PR 9): end-to-end trace
-propagation, labeled serving metrics, the Prometheus exposition
-endpoint, the flight recorder -- and the acceptance
-criterion that one HTTP request produces a single Chrome trace whose
-HTTP / admission / dispatch / worker-chunk spans all share the
-request's ``trace_id``.
+propagation, labeled serving metrics, the flight recorder -- and the
+acceptance criterion that one HTTP request produces a single Chrome
+trace whose HTTP / admission / dispatch / worker-chunk spans all share
+the request's ``trace_id``.
 """
 
 import asyncio
 import contextlib
 import json
 import os
-import sys
 
-import pytest
+from repro.core import telemetry, tracing
+from repro.serve import JobService, ServeConfig
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))))
-sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
-
-import prom_lint  # noqa: E402
-
-from repro.core import telemetry, tracing  # noqa: E402
-from repro.serve import JobService, ServeApp, ServeConfig  # noqa: E402
-
-from .test_app import _request, running_app  # noqa: E402
-
-
-async def _request_raw(port, method, path):
-    """Like test_app._request but returns the body as text (for the
-    Prometheus exposition, which is not JSON)."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(("%s %s HTTP/1.1\r\nHost: t\r\nContent-Length: 0"
-                  "\r\n\r\n" % (method, path)).encode())
-    await writer.drain()
-    head = await reader.readuntil(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    status = int(lines[0].split(" ")[1])
-    headers = {}
-    for line in lines[1:]:
-        name, _, value = line.partition(":")
-        if value:
-            headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", 0))
-    body = (await reader.readexactly(length)).decode() if length else ""
-    writer.close()
-    with contextlib.suppress(ConnectionError):
-        await writer.wait_closed()
-    return status, headers, body
+from .test_app import _request, running_app
 
 
 @contextlib.contextmanager
@@ -226,44 +193,6 @@ class TestLabeledServeMetrics:
         stats = asyncio.run(body())
         assert stats["tenants"]["acme"]["requests"] == 1
         assert stats["tenants"]["acme"]["completed"] == 1
-
-
-class TestPrometheusEndpoint:
-    def test_exposition_passes_vendored_linter(self, capsys):
-        with _live_registry():
-            async def body():
-                async with running_app(workers=1) as app:
-                    await _request(
-                        app.port, "POST", "/v1/jobs",
-                        {"kind": "distance", "tenant": "acme",
-                         "params": {"pairs": [[1.0, 2.0]]}, "wait": 30})
-                    return await _request_raw(
-                        app.port, "GET", "/v1/metrics?format=prometheus")
-
-            status, headers, text = asyncio.run(body())
-        assert status == 200
-        assert headers["content-type"].startswith("text/plain")
-        assert prom_lint.check_exposition(text) == []
-        assert "serve_requests_total 1" in text
-        assert 'serve_requests_total{kind="distance",tenant="acme"} 1' \
-            in text
-        assert 'serve_latency_seconds{kind="distance",tenant="acme",' \
-               'quantile="0.95"}' in text
-        # nothing leaked onto the process streams: the exposition is
-        # response-body-only
-        assert capsys.readouterr().out == ""
-
-    def test_unknown_format_is_400_and_json_still_default(self):
-        async def body():
-            async with running_app(workers=1) as app:
-                status, _, _ = await _request_raw(
-                    app.port, "GET", "/v1/metrics?format=xml")
-                assert status == 400
-                status, _, doc = await _request(app.port, "GET",
-                                                "/v1/metrics")
-                assert status == 200 and isinstance(doc, dict)
-
-        asyncio.run(body())
 
 
 class TestFlightRecorder:
