@@ -291,15 +291,6 @@ def _build_parser():
                        metavar="N",
                        help="jobs dispatched concurrently (default: "
                             "%(default)s)")
-    serve.add_argument("--flight-dir", metavar="PATH", default=None,
-                       help="directory for flight-recorder dumps: the "
-                            "last --flight-events telemetry events are "
-                            "written as JSONL when a job fails or a "
-                            "worker is killed")
-    serve.add_argument("--flight-events", type=int, default=256,
-                       metavar="N",
-                       help="flight-recorder ring size (default: "
-                            "%(default)s)")
     _add_observability_flags(serve)
     _add_parallel_flags(serve)
     _add_cache_flags(serve)
@@ -530,9 +521,7 @@ def _run_serve(args, out):
         tenant_quota=args.tenant_quota if args.tenant_quota > 0
         else None,
         batch_pairs=args.batch_pairs,
-        job_concurrency=args.job_concurrency,
-        flight_dir=args.flight_dir,
-        flight_events=args.flight_events)
+        job_concurrency=args.job_concurrency)
 
     async def _serve():
         app = ServeApp(JobService(config), host=args.host, port=args.port)

@@ -408,8 +408,6 @@ class WorkerPool:
         self.workers[slot] = self._spawn_slot()
         if registry.enabled:
             registry.counter("parallel.pool.restarts").inc()
-            # Named in tracing.DEFAULT_FLIGHT_TRIGGERS: a FlightRecorder
-            # sink dumps its ring when this passes through.
             registry.emit(tracing.point_event("parallel.pool.restart",
                                               {"slot": slot}))
 

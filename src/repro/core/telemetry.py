@@ -499,13 +499,6 @@ class MetricsRegistry:
         self._sinks.append(sink)
         return sink
 
-    def remove_sink(self, sink):
-        """Detach a previously attached trace sink (no-op when absent)."""
-        try:
-            self._sinks.remove(sink)
-        except ValueError:
-            pass
-
     def emit(self, event):
         """Fan an event dict out to every attached sink."""
         for sink in self._sinks:

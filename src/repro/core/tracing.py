@@ -31,7 +31,6 @@ request and ships it across executor threads and worker processes, so
 a single Chrome-trace export shows the request's whole life.
 """
 
-import collections
 import contextlib
 import contextvars
 import json
@@ -457,71 +456,3 @@ class ChromeTraceSink(TraceSink):
         if self.events or not self.events_written:
             self.events_written = write_chrome_trace(self.events, self.path)
             self.events = []
-
-
-# -- flight recorder -------------------------------------------------------
-
-#: Event names that make a :class:`FlightRecorder` dump automatically;
-#: a pool-worker restart is the one in-library crash signal.
-DEFAULT_FLIGHT_TRIGGERS = ("parallel.pool.restart",)
-
-
-class FlightRecorder(TraceSink):
-    """Bounded ring of recent trace events, dumped to disk on failure.
-
-    Attach to a registry like any sink; it retains the last
-    ``capacity`` events in memory and writes them all out as one JSONL
-    file (newest last, preceded by a ``{"type": "flight", ...}`` header
-    line) when :meth:`dump` is called -- either explicitly (the job
-    service dumps when a job fails) or automatically when an event
-    named in ``triggers`` passes through (a killed worker's restart).
-    Only the most recent ``keep`` dump files are retained.
-    """
-
-    def __init__(self, directory, capacity=256,
-                 triggers=DEFAULT_FLIGHT_TRIGGERS, keep=8, clock=time.time):
-        self.directory = directory
-        self.capacity = capacity
-        self.triggers = frozenset(triggers)
-        self.keep = keep
-        self._clock = clock
-        self._ring = collections.deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        self._dump_paths = []
-        self.dumps_written = 0
-
-    def emit(self, event):
-        with self._lock:
-            self._ring.append(event)
-        if event.get("name") in self.triggers:
-            self.dump(str(event.get("name")))
-
-    def dump(self, reason):
-        """Write the ring to a new JSONL file; returns its path."""
-        safe = "".join(ch if (ch.isalnum() or ch in "._-") else "-"
-                       for ch in str(reason))[:80] or "dump"
-        with self._lock:
-            events = list(self._ring)
-            sequence = self.dumps_written
-            self.dumps_written += 1
-        os.makedirs(self.directory, exist_ok=True)
-        path = os.path.join(self.directory,
-                            "flight-%04d-%s.jsonl" % (sequence, safe))
-        with open(path, "w") as handle:
-            header = {"type": "flight", "reason": str(reason),
-                      "ts": self._clock(), "events": len(events)}
-            handle.write(json.dumps(header, default=str,
-                                    separators=(",", ":")) + "\n")
-            for event in events:
-                handle.write(json.dumps(event, default=str,
-                                        separators=(",", ":")) + "\n")
-        with self._lock:
-            self._dump_paths.append(path)
-            stale = self._dump_paths[:-self.keep] if self.keep else []
-            self._dump_paths = self._dump_paths[len(stale):]
-        for old in stale:
-            try:
-                os.remove(old)
-            except OSError:
-                pass
-        return path

@@ -109,20 +109,13 @@ class ServeConfig:
         ahead of the pool, not parallelism inside it.
     retention : int
         Finished jobs kept for status polling.
-    flight_dir : None or path
-        Directory for flight-recorder dumps: a bounded ring of recent
-        trace events written out when a job fails or a pool worker is
-        restarted (:class:`repro.core.tracing.FlightRecorder`).
-    flight_events : int
-        Ring capacity for the flight recorder.
     """
 
     def __init__(self, workers=None, timeout=None, retries=2, cache=None,
                  queue_depth=DEFAULT_MAX_DEPTH,
                  tenant_quota=DEFAULT_TENANT_QUOTA,
                  batch_pairs=4096, job_concurrency=2,
-                 retention=jobs_module.DEFAULT_RETENTION,
-                 flight_dir=None, flight_events=256):
+                 retention=jobs_module.DEFAULT_RETENTION):
         # Workers, timeout and retries are checked here so a bad value
         # fails at startup rather than in every job.
         self.workers = resolve_workers(workers)
@@ -138,8 +131,6 @@ class ServeConfig:
         self.batch_pairs = int(batch_pairs)
         self.job_concurrency = max(1, int(job_concurrency))
         self.retention = int(retention)
-        self.flight_dir = flight_dir
-        self.flight_events = int(flight_events)
 
 
 # -- request validation -----------------------------------------------------
@@ -384,8 +375,6 @@ class JobService:
         self._dispatchers = []
         self._executor = None
         self._own_registry = None
-        self._flight = None
-        self._closing = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -399,14 +388,6 @@ class JobService:
             # when the embedding process left telemetry off.
             self._own_registry = telemetry.MetricsRegistry()
             telemetry.set_registry(self._own_registry)
-        registry = telemetry.get_registry()
-        if self.config.flight_dir and registry.enabled \
-                and hasattr(registry, "add_sink"):
-            self._flight = tracing.FlightRecorder(
-                self.config.flight_dir,
-                capacity=self.config.flight_events)
-            registry.add_sink(self._flight)
-        self._closing = False
         loop = asyncio.get_running_loop()
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.config.job_concurrency,
@@ -416,7 +397,6 @@ class JobService:
 
     async def close(self):
         """Stop dispatching; running kernels finish, queued jobs fail."""
-        self._closing = True
         for task in self._dispatchers:
             task.cancel()
         await asyncio.gather(*self._dispatchers, return_exceptions=True)
@@ -427,11 +407,6 @@ class JobService:
         while self.queue.depth:
             job = self.queue.take_matching(lambda _job: True, 1)[0]
             self._fail(job, ReproError("service shut down"))
-        if self._flight is not None:
-            registry = telemetry.get_registry()
-            if hasattr(registry, "remove_sink"):
-                registry.remove_sink(self._flight)
-            self._flight = None
         if self._own_registry is not None \
                 and telemetry.get_registry() is self._own_registry:
             telemetry.set_registry(None)
@@ -635,8 +610,6 @@ class JobService:
             self._settle(follower, FAILED, error=detail)
         self.coalescer.resolve(job.key)
         self.queue.release(job.tenant)
-        if self._flight is not None and not self._closing:
-            self._flight.dump("job-failed-%s" % job.id)
 
     def _settle(self, job, state, result=None, error=None):
         registry = telemetry.get_registry()

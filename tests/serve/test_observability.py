@@ -1,13 +1,12 @@
 """Observability of the serving stack (PR 9): end-to-end trace
-propagation, labeled serving metrics, the flight recorder -- and the
-acceptance criterion that one HTTP request produces a single Chrome
-trace whose HTTP / admission / dispatch / worker-chunk spans all share
-the request's ``trace_id``.
+propagation and labeled serving metrics -- and the acceptance criterion
+that one HTTP request produces a single Chrome trace whose HTTP /
+admission / dispatch / worker-chunk spans all share the request's
+``trace_id``.
 """
 
 import asyncio
 import contextlib
-import json
 import os
 
 from repro.core import telemetry, tracing
@@ -193,31 +192,3 @@ class TestLabeledServeMetrics:
         stats = asyncio.run(body())
         assert stats["tenants"]["acme"]["requests"] == 1
         assert stats["tenants"]["acme"]["completed"] == 1
-
-
-class TestFlightRecorder:
-    def test_job_failure_dumps_ring(self, tmp_path):
-        flight_dir = str(tmp_path / "flight")
-        with _live_registry():
-            async def body():
-                async with running_app(workers=1,
-                                       flight_dir=flight_dir) as app:
-                    # malformed DIMACS passes request validation (it is
-                    # a non-empty string) but fails in the kernel, so
-                    # the job genuinely fails at execution time
-                    status, _, doc = await _request(
-                        app.port, "POST", "/v1/jobs",
-                        {"kind": "solve",
-                         "params": {"dimacs": "p cnf not actually dimacs",
-                                    "attempts": 1}, "wait": 30})
-                    return status, doc
-
-            status, doc = asyncio.run(body())
-        assert doc["state"] == "failed"
-        dumps = sorted(os.listdir(flight_dir))
-        assert dumps, "flight recorder wrote no dump on job failure"
-        with open(os.path.join(flight_dir, dumps[0])) as handle:
-            lines = [json.loads(line) for line in handle if line.strip()]
-        assert lines[0]["type"] == "flight"
-        assert lines[0]["reason"].startswith("job-failed-")
-        assert len(lines) > 1  # the ring had events to dump
