@@ -282,11 +282,6 @@ def _build_parser():
                        help="per-chunk wall-clock budget for every job "
                             "(enforced through the pool even at "
                             "--workers 1)")
-    serve.add_argument("--batch-pairs", type=int, default=4096,
-                       metavar="N",
-                       help="pair budget when merging compatible queued "
-                            "distance jobs into one vectorized call "
-                            "(default: %(default)s)")
     serve.add_argument("--job-concurrency", type=int, default=2,
                        metavar="N",
                        help="jobs dispatched concurrently (default: "
@@ -520,7 +515,6 @@ def _run_serve(args, out):
         queue_depth=args.queue_depth,
         tenant_quota=args.tenant_quota if args.tenant_quota > 0
         else None,
-        batch_pairs=args.batch_pairs,
         job_concurrency=args.job_concurrency)
 
     async def _serve():

@@ -192,8 +192,9 @@ class ServeApp:
                 try:
                     content_length = int(line.split(":", 1)[1].strip())
                 except ValueError:
-                    raise _HttpError(400,
-                                     "malformed Content-Length") from None
+                    content_length = -1
+                if content_length < 0:
+                    raise _HttpError(400, "malformed Content-Length")
         if content_length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body exceeds %d bytes"
                              % MAX_BODY_BYTES)

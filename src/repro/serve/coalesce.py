@@ -15,15 +15,19 @@ executions:
 * :class:`DistanceBatcher` -- *compatible* (not identical) small
   distance requests are merged at dispatch time.  When the dispatcher
   pops a distance job it drains other queued distance jobs with the
-  same ``mode`` (same unit calibration) until ``max_pairs`` pairs are
-  gathered, and the whole batch runs as one vectorized
+  same ``mode`` (same unit calibration) until :data:`MAX_BATCH_PAIRS`
+  pairs are gathered, and the whole batch runs as one vectorized
   ``measure_batch`` call.  The PR 7 equivalence tier guarantees the
   batched measures are bit-identical to scalar evaluation, so batching
   is invisible in the results (``serve.batched`` counts jobs that rode
-  along; the ``serve.batch_pairs`` histogram records batch sizes).
+  along; the ``serve.batch.pairs`` histogram records batch sizes).
   There is no artificial delay: a lone distance job dispatches
   immediately, batches only form from work that is already queued.
 """
+
+
+#: Pair budget of one merged distance batch.
+MAX_BATCH_PAIRS = 4096
 
 
 class Coalescer:
@@ -62,7 +66,7 @@ class Coalescer:
 class DistanceBatcher:
     """Dispatch-time merge of compatible queued distance jobs."""
 
-    def __init__(self, max_pairs=4096):
+    def __init__(self, max_pairs=MAX_BATCH_PAIRS):
         if int(max_pairs) < 1:
             raise ValueError("max_pairs must be >= 1, got %r" % max_pairs)
         self.max_pairs = int(max_pairs)

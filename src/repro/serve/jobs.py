@@ -8,10 +8,9 @@ in-flight computation (request coalescing, see
 :mod:`repro.serve.coalesce`) carry ``coalesced_with`` naming the
 primary job whose single execution produced their result.
 
-The :class:`JobTable` keeps every live job plus a bounded tail of
-finished ones (``retention``), so status polling works for a while
-after completion without the table growing forever under sustained
-traffic.
+The :class:`JobTable` keeps every live job plus the ``retention`` most
+recently finished ones, so status polling works for a while after
+completion without the table growing forever under sustained traffic.
 """
 
 import collections
@@ -22,7 +21,8 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 
-#: Finished jobs kept around for status polling, oldest dropped first.
+#: Finished jobs kept around for status polling, earliest-finished
+#: dropped first.
 DEFAULT_RETENTION = 1024
 
 
@@ -91,13 +91,14 @@ class Job:
 
 
 class JobTable:
-    """All live jobs plus a bounded tail of finished ones."""
+    """All live jobs plus the most recently finished ones."""
 
     def __init__(self, retention=DEFAULT_RETENTION):
         if int(retention) < 0:
             raise ValueError("retention must be >= 0, got %r" % retention)
         self.retention = int(retention)
-        self._jobs = collections.OrderedDict()
+        self._jobs = {}
+        self._finished = collections.deque()   # job ids, finish order
         self._counter = 0
 
     def create(self, kind, params, tenant, priority, key, doc,
@@ -116,13 +117,19 @@ class JobTable:
         """Remove a job that was never admitted (rejected at submit)."""
         self._jobs.pop(job_id, None)
 
+    def mark_finished(self, job):
+        """Record that ``job`` just settled, making it the newest
+        candidate for :meth:`prune`."""
+        self._finished.append(job.id)
+
     def prune(self):
-        """Drop the oldest finished jobs beyond the retention cap."""
-        finished = [job_id for job_id, job in self._jobs.items()
-                    if job.finished]
-        excess = len(finished) - self.retention
-        for job_id in finished[:max(0, excess)]:
-            del self._jobs[job_id]
+        """Drop the earliest-finished jobs beyond the retention cap.
+
+        Jobs go in the order they finished, not the order they were
+        created, so a slow job stays pollable for as long as a fast one.
+        """
+        while len(self._finished) > self.retention:
+            self._jobs.pop(self._finished.popleft(), None)
 
     def stats(self):
         """Job counts by lifecycle state."""

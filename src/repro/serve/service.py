@@ -44,7 +44,6 @@ from ..core.exceptions import (JobValidationError, ParallelError,
                                ReproError)
 from ..core.parallel import resolve_workers
 from ..core.resilience import resolve_retry
-from . import jobs as jobs_module
 from .admission import (
     DEFAULT_MAX_DEPTH,
     DEFAULT_PRIORITY,
@@ -100,22 +99,15 @@ class ServeConfig:
         ``REPRO_CACHE_DISK_BYTES`` (see ``docs/caching.md``).
     queue_depth, tenant_quota : int
         Admission bounds (:mod:`repro.serve.admission`).
-    batch_pairs : int
-        Budget for merging compatible distance jobs into one vectorized
-        call (:class:`~repro.serve.coalesce.DistanceBatcher`).
     job_concurrency : int
         Dispatcher coroutines / kernel threads running jobs at once.
         Pool rounds are serialized internally, so this bounds queueing
         ahead of the pool, not parallelism inside it.
-    retention : int
-        Finished jobs kept for status polling.
     """
 
     def __init__(self, workers=None, timeout=None, retries=2, cache=None,
                  queue_depth=DEFAULT_MAX_DEPTH,
-                 tenant_quota=DEFAULT_TENANT_QUOTA,
-                 batch_pairs=4096, job_concurrency=2,
-                 retention=jobs_module.DEFAULT_RETENTION):
+                 tenant_quota=DEFAULT_TENANT_QUOTA, job_concurrency=2):
         # Workers, timeout and retries are checked here so a bad value
         # fails at startup rather than in every job.
         self.workers = resolve_workers(workers)
@@ -128,9 +120,7 @@ class ServeConfig:
         self.cache = cache
         self.queue_depth = int(queue_depth)
         self.tenant_quota = tenant_quota
-        self.batch_pairs = int(batch_pairs)
         self.job_concurrency = max(1, int(job_concurrency))
-        self.retention = int(retention)
 
 
 # -- request validation -----------------------------------------------------
@@ -348,11 +338,11 @@ class JobService:
 
     def __init__(self, config=None):
         self.config = config if config is not None else ServeConfig()
-        self.table = JobTable(retention=self.config.retention)
+        self.table = JobTable()
         self.queue = AdmissionQueue(max_depth=self.config.queue_depth,
                                     tenant_quota=self.config.tenant_quota)
         self.coalescer = Coalescer()
-        self.batcher = DistanceBatcher(max_pairs=self.config.batch_pairs)
+        self.batcher = DistanceBatcher()
         if self.config.cache is False:
             self.cache = None
         else:
@@ -516,7 +506,7 @@ class JobService:
                 self.batched += len(batch) - 1
                 if registry.enabled:
                     registry.counter("serve.batched").inc(len(batch) - 1)
-                    registry.histogram("serve.batch_pairs").observe(
+                    registry.histogram("serve.batch.pairs").observe(
                         sum(len(job.params["pairs"]) for job in batch))
                 for rider in batch[1:]:
                     # The lead's trace is the one that executes; riders
@@ -617,6 +607,7 @@ class JobService:
         job.result = result
         job.error = error
         job.finished_at = time.monotonic()
+        self.table.mark_finished(job)
         if state == DONE:
             self.completed += 1
             self._tenant_bucket(job.tenant)["completed"] += 1

@@ -228,7 +228,6 @@ class TestServeCommand:
         assert args.tenant_quota == 16
         assert args.retries == 2
         assert args.timeout is None
-        assert args.batch_pairs == 4096
         assert args.job_concurrency == 2
         assert args.workers is None and args.cache_dir is None
 

@@ -198,6 +198,21 @@ class TestErrors:
 
         asyncio.run(body())
 
+    def test_negative_content_length_is_400(self):
+        async def body():
+            async with running_app() as app:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", app.port)
+                writer.write(b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\n"
+                             b"Content-Length: -5\r\n\r\n")
+                await writer.drain()
+                head = await asyncio.wait_for(
+                    reader.readuntil(b"\r\n\r\n"), 10.0)
+                assert b" 400 " in head.split(b"\r\n")[0]
+                writer.close()
+
+        asyncio.run(body())
+
     def test_oversized_body_is_413(self):
         async def body():
             async with running_app() as app:

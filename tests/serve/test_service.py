@@ -24,7 +24,8 @@ from repro.core.exceptions import (
     ResilienceError,
 )
 from repro.oscillators.distance import OscillatorDistanceUnit
-from repro.serve import JobService, ServeConfig, validate_request
+from repro.serve import (DistanceBatcher, JobService, ServeConfig,
+                         validate_request)
 from repro.serve.jobs import DONE, FAILED, JobTable
 
 
@@ -209,6 +210,7 @@ class TestBatching:
 
     def test_pair_budget_caps_the_merge(self):
         async def body(service):
+            service.batcher = DistanceBatcher(max_pairs=2)
             jobs = [service.submit("distance",
                                    {"pairs": [[float(i), float(i + 1)]]})
                     for i in range(4)]
@@ -217,7 +219,7 @@ class TestBatching:
             assert service.executions == 2
             assert service.batched == 2
 
-        run_service_test(body, job_concurrency=1, batch_pairs=2)
+        run_service_test(body, job_concurrency=1)
 
 
 class TestAdmission:
@@ -261,19 +263,42 @@ class TestAdmission:
 
     def test_retention_prunes_finished_jobs(self):
         async def body(service):
+            service.table = JobTable(retention=2)
             for n in (15, 21, 33, 35, 39):
                 job = service.submit("factor", {"n": n})
                 await job.future
             assert len(service.table) == 2
 
-        run_service_test(body, retention=2)
+        run_service_test(body)
+
+    def test_late_finisher_stays_pollable(self):
+        # The first job is created first but, at the lowest priority,
+        # finishes last: retention follows finish order, so it outlives
+        # the younger jobs that finished before it.
+        async def body(service):
+            service.table = JobTable(retention=2)
+            slow = service.submit("factor", {"n": 15}, priority=9)
+            fast = [service.submit("factor", {"n": n}, priority=0)
+                    for n in (21, 33, 35)]
+            await asyncio.gather(slow.future,
+                                 *(job.future for job in fast))
+            assert service.table.get(slow.id) is slow
+            assert service.table.get(fast[-1].id) is fast[-1]
+            assert len(service.table) == 2
+
+        run_service_test(body, job_concurrency=1)
 
 
 class TestJobTablePruning:
     """The retention contract at the table level: only *finished* jobs
-    count against the cap, the oldest finished go first, and pruned ids
-    stop resolving while live ones keep working.
+    count against the cap, the earliest finished go first, and pruned
+    ids stop resolving while live ones keep working.
     """
+
+    @staticmethod
+    def _finish(table, job, state=DONE):
+        job.state = state
+        table.mark_finished(job)
 
     def _table(self, retention, finished=0, live=0):
         table = JobTable(retention=retention)
@@ -281,7 +306,7 @@ class TestJobTablePruning:
                              "key-%d" % index, {})
                 for index in range(finished + live)]
         for job in jobs[:finished]:
-            job.state = DONE
+            self._finish(table, job)
         return table, jobs
 
     def test_prune_drops_oldest_finished_first(self):
@@ -313,17 +338,17 @@ class TestJobTablePruning:
         assert len(table) == 1
 
     def test_late_finishers_outlive_earlier_ones(self):
-        # Retention orders by creation, but only finished jobs are
-        # candidates: an old job that finishes *after* younger ones
-        # is still pruned first (creation order, not finish order).
+        # Retention follows finish order: an old job that finishes
+        # *after* a younger one outlives it.
         table, jobs = self._table(retention=1, live=3)
-        jobs[2].state = DONE
+        self._finish(table, jobs[2])
         table.prune()
         assert len(table) == 3  # one finished, cap is one
-        jobs[0].state = FAILED
+        self._finish(table, jobs[0], FAILED)
         table.prune()
-        assert table.get(jobs[0].id) is None
-        assert table.get(jobs[2].id) is jobs[2]
+        assert table.get(jobs[2].id) is None
+        assert table.get(jobs[0].id) is jobs[0]
+        assert table.get(jobs[1].id) is jobs[1]
 
     def test_negative_retention_rejected(self):
         with pytest.raises(ValueError):
@@ -338,7 +363,12 @@ class TestStats:
                            for c in range(12)] for r in range(12)]})
             await job.future
             stats = service.stats()
+            # The counters perfbench reads from /v1/stats.
+            for key in ("requests", "executions", "coalesced",
+                        "cache_hits", "batched"):
+                assert isinstance(stats[key], int), key
             assert stats["requests"] == 1
+            assert stats["executions"] == 1
             assert stats["completed"] == 1
             assert stats["queue_depth"] == 0
             assert stats["jobs"][DONE] == 1
