@@ -118,8 +118,7 @@ class JobTable:
         self._jobs.pop(job_id, None)
 
     def mark_finished(self, job):
-        """Record that ``job`` just settled, making it the newest
-        candidate for :meth:`prune`."""
+        """Record that ``job`` settled: it is now the newest finished job."""
         self._finished.append(job.id)
 
     def prune(self):

@@ -272,7 +272,7 @@ class TestAdmission:
         run_service_test(body)
 
     def test_late_finisher_stays_pollable(self):
-        # The first job is created first but, at the lowest priority,
+        # The slow job is created first but, at the lowest priority,
         # finishes last: retention follows finish order, so it outlives
         # the younger jobs that finished before it.
         async def body(service):

@@ -23,9 +23,9 @@ processes.  This walks ``src/repro`` ASTs and flags
 
 outside the allowlist.  The serving stack (``repro.serve``) is
 *strict*: the allowlist cannot exempt it, because everything a server
-says belongs in an HTTP response body, never on the process streams.  Docstrings and
-comments are naturally exempt (they never parse as calls).  Run
-directly or via ``make lint``::
+says belongs in an HTTP response body, never on the process streams.
+Docstrings and comments are naturally exempt (they never parse as
+calls).  Run directly or via ``make lint``::
 
     python tools/lint_no_stdout.py
 """
