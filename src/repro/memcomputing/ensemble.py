@@ -101,11 +101,22 @@ class BatchedDmm:
 
     The state is a ``(B, state_size)`` array; the vector field is the
     batched transliteration of :meth:`DmmSystem.rhs` (same parameters,
-    same clipping).
+    same clipping).  Per-literal arrays are slot-major, ``(B, K, M)``
+    for clause width ``K``: each literal slot is one contiguous
+    ``(B, M)`` block, so the reductions over a clause's ``K`` literals
+    are a few elementwise passes instead of a sort along a size-``K``
+    axis.
     """
 
     def __init__(self, formula, params=None, x_l_max=None):
         self.system = DmmSystem(formula, params=params, x_l_max=x_l_max)
+        system = self.system
+        # (K, M) transposes of the system's (M, K) literal tables
+        self._var_index = np.ascontiguousarray(system.var_index.T)
+        self._sign = np.ascontiguousarray(system.sign.T)
+        self._half_sign = 0.5 * self._sign
+        self._slot_mask = np.ascontiguousarray(system._slot_mask.T)
+        self._slots = np.arange(system.clause_width)[:, None]
         self._scatter_cache = {}
 
     def _batched_scatter_index(self, batch):
@@ -144,57 +155,53 @@ class BatchedDmm:
         v = states[:, :n]                       # (B, N)
         x_s = states[:, n:n + m]                # (B, M)
         x_l = states[:, n + m:]                 # (B, M)
-        # per-literal q: (B, M, K)
-        q = 0.5 * (1.0 - system.sign[None, :, :]
-                   * v[:, system.var_index])
-        order = np.argsort(q, axis=2, kind="stable")  # see DmmSystem.rhs
-        batch_index = np.arange(states.shape[0])[:, None]
-        row_index = np.arange(m)[None, :]
-        smallest = q[batch_index, row_index, order[:, :, 0]]
-        second = q[batch_index, row_index, order[:, :, 1]]
-        width = q.shape[2]
-        min_others = np.where(
-            np.arange(width)[None, None, :] == order[:, :, 0:1],
-            second[:, :, None], smallest[:, :, None])
-        grad = 0.5 * system.sign[None, :, :] * min_others
+        v_lit = v[:, self._var_index]           # (B, K, M)
+        q = 0.5 * (1.0 - self._sign * v_lit)
 
-        best_slot = order[:, :, 0]              # (B, M)
-        rigid = np.zeros_like(q)
-        best_sign = system.sign[row_index, best_slot]
-        best_var = system.var_index[row_index, best_slot]
-        rigid[batch_index, row_index, best_slot] = 0.5 * (
-            best_sign - v[batch_index, best_var])
+        # Smallest value, second value and best slot in one scan over
+        # the slot columns.  The strict < keeps the first of tied slots,
+        # the slot DmmSystem.rhs's stable argsort puts first: a real
+        # literal, since padding repeats the last one after it.
+        best = (q[:, 1] < q[:, 0]).astype(np.intp)   # (B, M)
+        smallest = np.minimum(q[:, 0], q[:, 1])
+        second = np.maximum(q[:, 0], q[:, 1])
+        for slot in range(2, q.shape[1]):
+            column = q[:, slot]
+            best[column < smallest] = slot
+            np.minimum(second, np.maximum(smallest, column), out=second)
+            np.minimum(smallest, column, out=smallest)
 
-        gain_g = (system.weights[None, :] * x_l * x_s)[:, :, None]
-        gain_r = (system.weights[None, :]
-                  * (1.0 + p["zeta"] * x_l) * (1.0 - x_s))[:, :, None]
-        contribution = (gain_g * grad + gain_r * rigid) \
-            * system._slot_mask[None, :, :]
+        is_best = best[:, None, :] == self._slots
+        grad = self._half_sign * np.where(is_best, second[:, None, :],
+                                          smallest[:, None, :])
+        # rigidity term: only the best-satisfying slot is driven
+        rigid = np.where(is_best, 0.5 * (self._sign - v_lit), 0.0)
+
+        gain_g = (system.weights * x_l * x_s)[:, None, :]
+        gain_r = (system.weights
+                  * (1.0 + p["zeta"] * x_l) * (1.0 - x_s))[:, None, :]
+        contribution = (gain_g * grad + gain_r * rigid) * self._slot_mask
 
         # One order-preserving bincount over all trajectories: indices
         # are offset by b*N so every trajectory scatters into its own
-        # bin range, and within a bin the weights arrive in the same
-        # order as the per-trajectory np.add.at loop this replaces --
-        # the sums are bit-identical, without the Python-level batch
-        # loop.
+        # bin range, and the weights are laid out (B, M, K) so within a
+        # bin they arrive in the order DmmSystem.rhs adds them -- the
+        # sums are bit-identical to the per-trajectory field.
+        batch = states.shape[0]
         dv = np.bincount(
-            self._batched_scatter_index(states.shape[0]),
-            weights=contribution.ravel(),
-            minlength=states.shape[0] * n).reshape(states.shape[0], n)
+            self._batched_scatter_index(batch),
+            weights=contribution.transpose(0, 2, 1).ravel(),
+            minlength=batch * n).reshape(batch, n)
 
-        big_c = q.min(axis=2)
-        dx_s = p["beta"] * (x_s + p["epsilon"]) * (big_c - p["gamma"])
-        dx_l = p["alpha"] * (big_c - p["delta"])
+        dx_s = p["beta"] * (x_s + p["epsilon"]) * (smallest - p["gamma"])
+        dx_l = p["alpha"] * (smallest - p["delta"])
         return np.concatenate([dv, dx_s, dx_l], axis=1)
 
     def unsatisfied_counts(self, states):
         """Digital unsat count per trajectory."""
-        system = self.system
-        n = system.num_variables
-        v = states[:, :n]
-        q = 0.5 * (1.0 - system.sign[None, :, :]
-                   * v[:, system.var_index])
-        return (q.min(axis=2) >= 0.5).sum(axis=1)
+        v = states[:, :self.system.num_variables]
+        q = 0.5 * (1.0 - self._sign * v[:, self._var_index])
+        return (q.min(axis=1) >= 0.5).sum(axis=1)
 
 
 def _integrate_batch(formula, batch, dt, max_steps, check_every, params,

@@ -14,16 +14,44 @@ from hypothesis import strategies as st
 from repro.core import integrators, resilience, telemetry
 from repro.core.cache import ResultCache
 from repro.core.exceptions import ParallelError
+from repro.core.cnf import CnfFormula
 from repro.core.rngs import make_rng
 from repro.core.sat_instances import planted_ksat, random_ksat
 from repro.memcomputing.ensemble import BatchedDmm, solve_ensemble
 
 BATCH_SIZES = [1, 2, 5, 33]
+TIED_BATCH_SIZES = [1, 8, 33]
 
 
 def random_states(batched, batch, seed):
     rng = np.random.default_rng(seed)
     return batched.initial_states(batch, rng)
+
+
+def mixed_width_formula(num_variables, num_clauses, seed):
+    """Random clauses of widths 1-5 in turn: every clause shorter than
+    5 literals is padded by repeating its last one."""
+    rng = np.random.default_rng(seed)
+    clauses = []
+    for index in range(num_clauses):
+        width = 1 + index % 5
+        variables = rng.choice(num_variables, size=width, replace=False) + 1
+        signs = rng.choice([-1, 1], size=width)
+        clauses.append([int(var * sign) for var, sign in zip(variables, signs)])
+    return CnfFormula(clauses, num_variables=num_variables)
+
+
+def tied_states(batched, batch, seed):
+    """Voltages on the half-step grid {-1, -0.5, 0, 0.5, 1}, so literal
+    values tie exactly, across real slots and with padded ones; random
+    memories so every gain differs."""
+    rng = np.random.default_rng(seed)
+    n, m = batched.system.num_variables, batched.system.num_clauses
+    states = batched.initial_states(batch, rng)
+    states[:, :n] = 0.5 * rng.integers(-2, 3, size=(batch, n))
+    states[:, n:n + m] = rng.uniform(0.0, 1.0, size=(batch, m))
+    states[:, n + m:] = rng.uniform(1.0, 10.0, size=(batch, m))
+    return states
 
 
 class TestBatchedRhsBitIdentity:
@@ -44,6 +72,19 @@ class TestBatchedRhsBitIdentity:
         states = random_states(batched, batch, seed + 1)
         scalar = [batched.system.unsatisfied_count(row) for row in states]
         assert list(batched.unsatisfied_counts(states)) == scalar
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           batch=st.sampled_from(TIED_BATCH_SIZES))
+    def test_mixed_widths_and_exact_ties_match_scalar_rows(self, seed,
+                                                           batch):
+        batched = BatchedDmm(mixed_width_formula(8, 30, seed))
+        states = tied_states(batched, batch, seed + 1)
+        system = batched.system
+        scalar = np.stack([system.rhs(0.0, row) for row in states])
+        assert np.array_equal(batched.rhs_batch(states), scalar)
+        assert list(batched.unsatisfied_counts(states)) == [
+            system.unsatisfied_count(row) for row in states]
 
     def test_sub_stack_advancement_is_bit_identical(self):
         # the freeze-solved loop advances a compacted sub-stack; rows must
