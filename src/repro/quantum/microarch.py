@@ -16,6 +16,7 @@ micro-architecture, modelled after QuMA-style control processors:
   from function).
 """
 
+import functools
 
 import numpy as np
 
@@ -70,6 +71,11 @@ class ExecutionResult:
         Final classical register file (cbit name -> 0/1).
     state : StateVector
         Final quantum state (exposed by the simulator backend only).
+        The prefix tree of :meth:`MicroArchitecture.execute_shots`
+        copies it out of the run's final batched stack on first read, so
+        a caller that reads only classical bits pays for no state
+        copies.  Each result still owns an independent state, even when
+        shots share a measurement history.
     instructions_executed : int
         Dynamic instruction count.
     elapsed_ns : float
@@ -80,11 +86,20 @@ class ExecutionResult:
 
     def __init__(self, classical_bits, state, instructions_executed,
                  elapsed_ns, coherence_exceeded):
+        """``state`` is a :class:`StateVector`, or a zero-argument
+        callable that builds one on the first read of :attr:`state`."""
         self.classical_bits = classical_bits
-        self.state = state
+        self._state = state
         self.instructions_executed = instructions_executed
         self.elapsed_ns = elapsed_ns
         self.coherence_exceeded = coherence_exceeded
+
+    @property
+    def state(self):
+        """Final quantum state (see the class docstring)."""
+        if not isinstance(self._state, StateVector):
+            self._state = self._state()
+        return self._state
 
     def bit(self, name):
         """Read one classical bit by name."""
@@ -310,7 +325,11 @@ class MicroArchitecture:
         The win comes from memoizing on measurement prefixes: shots that
         have produced the same outcomes so far share one statevector, so
         each gate segment is applied once per *distinct* history (batched
-        across histories) instead of once per shot.  Programs with
+        across histories) instead of once per shot.  Each measurement
+        builds the next level's stack in one
+        :meth:`~repro.quantum.state.BatchedStateVector.collapsed` call,
+        and a result copies its shot's state out of the final stack only
+        when :attr:`ExecutionResult.state` is read.  Programs with
         branches fall back to the scalar interpreter; prefix trees wider
         than :data:`PREFIX_TREE_BUDGET` amplitudes fall back to an
         unmemoized per-shot sweep that consumes the identical random
@@ -355,25 +374,20 @@ class MicroArchitecture:
             if len(unique_keys) * dim > self.PREFIX_TREE_BUDGET:
                 return self._run_plans_per_shot(plans, measures, uniforms,
                                                 executed, elapsed)
-            states = BatchedStateVector(
-                self.num_qubits,
-                amplitudes=states.amplitudes[unique_keys // 2])
-            states.collapse(measure.qubit, unique_keys % 2)
+            states = states.collapsed(unique_keys // 2, measure.qubit,
+                                      unique_keys % 2)
             self._apply_plan(states, plans[index + 1])
 
-        results = []
-        for shot in range(shots):
-            cbits = {}
-            for index, measure in enumerate(measures):
-                cbits[measure.cbit] = int(outcomes[shot, index])
-            results.append(ExecutionResult(
-                classical_bits=cbits,
-                state=states.member(node_of_shot[shot]),
-                instructions_executed=executed,
-                elapsed_ns=elapsed,
-                coherence_exceeded=elapsed > self.coherence_ns,
-            ))
-        return results
+        cbit_names = [measure.cbit for measure in measures]
+        coherence_exceeded = elapsed > self.coherence_ns
+        return [ExecutionResult(
+                    classical_bits=dict(zip(cbit_names, bits)),
+                    state=functools.partial(states.member, node),
+                    instructions_executed=executed,
+                    elapsed_ns=elapsed,
+                    coherence_exceeded=coherence_exceeded)
+                for bits, node in zip(outcomes.tolist(),
+                                      node_of_shot.tolist())]
 
     def execute_circuit(self, circuit, rng=None):
         """Assemble and execute a circuit in one call."""

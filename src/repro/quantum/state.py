@@ -142,10 +142,11 @@ class StateVector:
         """Project ``qubit`` onto ``outcome`` and renormalize, in place.
 
         The deterministic half of :meth:`measure` (no randomness): used
-        directly by the shot-batching prefix tree in
+        directly by the per-shot sweep of
         :meth:`repro.quantum.microarch.MicroArchitecture.execute_shots`,
         which draws outcomes itself and must collapse with the exact
-        operation sequence :meth:`measure` uses.
+        operation sequence :meth:`measure` uses, and the reference that
+        :meth:`BatchedStateVector.collapsed` reproduces bit for bit.
         """
         self._check_qubits([qubit])
         outcome = int(outcome)
@@ -232,10 +233,12 @@ class BatchedStateVector:
     each output column independently of how many columns sit beside it,
     so batching members as extra columns cannot perturb any of them (the
     equivalence tier asserts this with ``np.array_equal``).  Measurement
-    statistics (:meth:`probability_of`, :meth:`collapse`) intentionally
-    run per member through the same reductions the scalar class uses:
-    vectorizing a masked sum across the batch would change the summation
-    tree and break bit-identity for a step that is cheap anyway.
+    statistics keep the scalar reductions member by member:
+    :meth:`probability_of` sums each member's masked half on its own
+    (an ``np.sum`` over the stack's rows changes the summation tree from
+    7 rows up), and :meth:`collapsed` normalizes with the same per-row
+    BLAS dots :func:`np.linalg.norm` runs.  Only the elementwise work
+    around them spans the whole stack.
 
     Parameters
     ----------
@@ -270,18 +273,6 @@ class BatchedStateVector:
                     and self.amplitudes.shape[0] != int(batch):
                 raise QuantumError("batch/amplitudes shape mismatch")
 
-    @classmethod
-    def from_states(cls, states):
-        """Stack scalar :class:`StateVector` members (copies)."""
-        states = list(states)
-        if not states:
-            raise QuantumError("need at least one member state")
-        n = states[0].num_qubits
-        if any(state.num_qubits != n for state in states):
-            raise QuantumError("member qubit counts differ")
-        return cls(n, amplitudes=np.stack(
-            [state.amplitudes for state in states]))
-
     @property
     def batch(self):
         """Number of stacked member states."""
@@ -291,11 +282,6 @@ class BatchedStateVector:
         """Member ``index`` as an independent scalar :class:`StateVector`."""
         return StateVector(self.num_qubits,
                            self.amplitudes[index].copy())
-
-    def copy(self):
-        """Deep copy of the stack."""
-        return BatchedStateVector(self.num_qubits,
-                                  amplitudes=self.amplitudes.copy())
 
     def _check_qubits(self, qubits):
         seen = set()
@@ -372,36 +358,47 @@ class BatchedStateVector:
     def probability_of(self, qubit, value):
         """Per-member marginal probabilities, shape ``(B,)``.
 
-        Computed member-at-a-time with the scalar reduction (see the
-        class docstring for why).
+        ``|a|^2`` is elementwise, so it is taken over the whole stack at
+        once; each member's masked half is then summed with the scalar
+        reduction (see the class docstring for why).
         """
         self._check_qubits([qubit])
-        dim = self.amplitudes.shape[1]
-        indices = np.arange(dim)
-        mask = ((indices >> qubit) & 1) == int(value)
-        out = np.empty(self.batch)
-        for index in range(self.batch):
-            probs = np.abs(self.amplitudes[index]) ** 2
-            out[index] = float(np.sum(probs[mask]))
-        return out
-
-    def collapse(self, qubit, outcomes):
-        """Project ``qubit`` of member ``b`` onto ``outcomes[b]``, in place."""
-        self._check_qubits([qubit])
-        outcomes = np.asarray(outcomes)
-        if outcomes.shape != (self.batch,):
-            raise QuantumError("need one outcome per member")
         indices = np.arange(self.amplitudes.shape[1])
-        qubit_bit = (indices >> qubit) & 1
-        for index in range(self.batch):
-            row = self.amplitudes[index]
-            row[qubit_bit != int(outcomes[index])] = 0.0
-            norm = np.linalg.norm(row)
-            if norm == 0.0:
-                raise QuantumError(
-                    "measurement collapsed to the zero vector")
-            row /= norm
-        return self
+        mask = ((indices >> qubit) & 1) == int(value)
+        halves = (np.abs(self.amplitudes) ** 2)[:, mask]
+        return np.array([np.add.reduce(half) for half in halves])
+
+    def collapsed(self, rows, qubit, outcomes):
+        """New stack: member ``rows[i]`` with ``qubit`` projected onto
+        ``outcomes[i]`` and renormalized.
+
+        Member ``i`` is bit-identical to :meth:`StateVector.collapse` on
+        a copy of member ``rows[i]``.  That method zeroes the other half
+        and divides the whole vector by its :func:`np.linalg.norm`, which
+        is one BLAS dot over the real parts plus one over the imaginary
+        parts.  The stacked ``matmul`` here runs the same dot per row, on
+        the same zero-filled row with the same stride.
+        """
+        self._check_qubits([qubit])
+        rows = np.asarray(rows)
+        outcomes = np.asarray(outcomes)
+        if rows.ndim != 1 or outcomes.shape != rows.shape:
+            raise QuantumError("need one outcome per collapsed member")
+        dim = self.amplitudes.shape[1]
+        # (member, higher qubits, this qubit, lower qubits) views
+        shape = (-1, dim >> (qubit + 1), 2, 1 << qubit)
+        children = np.zeros((len(rows), dim), dtype=complex)
+        kept = (np.arange(len(rows)), slice(None), outcomes, slice(None))
+        children.reshape(shape)[kept] = \
+            self.amplitudes.reshape(shape)[rows, :, outcomes, :]
+        real, imag = children.real, children.imag
+        norms = np.sqrt(np.matmul(real[:, None, :], real[:, :, None])
+                        + np.matmul(imag[:, None, :], imag[:, :, None]))
+        norms = norms.reshape(-1, 1)
+        if not norms.all():
+            raise QuantumError("measurement collapsed to the zero vector")
+        children /= norms
+        return BatchedStateVector(self.num_qubits, amplitudes=children)
 
     def __repr__(self):
         return ("BatchedStateVector(num_qubits=%d, batch=%d)"

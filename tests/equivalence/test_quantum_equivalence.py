@@ -10,7 +10,7 @@ worker count.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import parallel, resilience, telemetry
@@ -19,6 +19,7 @@ from repro.core.exceptions import ParallelError
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.microarch import MicroArchitecture, assemble
 from repro.quantum.runtime import QuantumRuntime
+from repro.quantum.state import BatchedStateVector, StateVector
 
 SHOT_COUNTS = [1, 2, 7, 33]
 
@@ -51,6 +52,19 @@ def random_circuit(num_qubits, depth, seed, mid_measure):
     return circuit
 
 
+def circuit_depth(num_qubits):
+    """16 gates up to 4 qubits; enough at 8-12 qubits to put most
+    qubits in superposition, so the prefix tree's levels grow wide."""
+    return max(16, 4 * num_qubits)
+
+
+def assert_wide_tree(results):
+    """Row-batched reductions part from per-row ones only from 7 rows
+    up, so the wide examples must reach levels that wide."""
+    histories = {tuple(result.classical_bits.values()) for result in results}
+    assert len(histories) >= 7
+
+
 def assert_results_identical(reference, batched):
     assert len(reference) == len(batched)
     for ref, bat in zip(reference, batched):
@@ -68,9 +82,13 @@ class TestExecuteShotsBitIdentity:
     @given(num_qubits=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
            shots=st.sampled_from(SHOT_COUNTS),
            mid_measure=st.booleans())
+    @example(num_qubits=8, seed=1, shots=256, mid_measure=True)
+    @example(num_qubits=10, seed=3, shots=300, mid_measure=False)
+    @example(num_qubits=12, seed=1, shots=256, mid_measure=True)
     def test_unfused_matches_looped_execute(self, num_qubits, seed, shots,
                                             mid_measure):
-        circuit = random_circuit(num_qubits, 16, seed, mid_measure)
+        circuit = random_circuit(num_qubits, circuit_depth(num_qubits), seed,
+                                 mid_measure)
         program = assemble(circuit)
         microarch = MicroArchitecture(num_qubits)
         loop_rng = np.random.default_rng(seed + 1)
@@ -82,13 +100,18 @@ class TestExecuteShotsBitIdentity:
         assert_results_identical(reference, batched)
         # both paths must leave the generator in the same state
         assert loop_rng.bit_generator.state == batch_rng.bit_generator.state
+        if num_qubits >= 8:
+            assert_wide_tree(batched)
 
     @settings(max_examples=10, deadline=None)
     @given(num_qubits=st.integers(1, 3), seed=st.integers(0, 2 ** 16),
            shots=st.sampled_from(SHOT_COUNTS))
+    @example(num_qubits=8, seed=3, shots=256)
+    @example(num_qubits=12, seed=0, shots=300)
     def test_fused_tree_matches_fused_per_shot_sweep(self, num_qubits,
                                                      seed, shots):
-        circuit = random_circuit(num_qubits, 16, seed, True)
+        circuit = random_circuit(num_qubits, circuit_depth(num_qubits), seed,
+                                 True)
         program = assemble(circuit)
         microarch = MicroArchitecture(num_qubits)
         tree = microarch.execute_shots(program, shots,
@@ -104,6 +127,24 @@ class TestExecuteShotsBitIdentity:
         finally:
             del microarch.PREFIX_TREE_BUDGET
         assert_results_identical(tree, flat)
+        if num_qubits >= 8:
+            assert_wide_tree(tree)
+
+    def test_shots_sharing_a_history_own_independent_states(self):
+        circuit = random_circuit(3, 16, 4, True)
+        results = MicroArchitecture(3).execute_shots(assemble(circuit), 64,
+                                                     rng=2)
+        by_history = {}
+        for result in results:
+            by_history.setdefault(tuple(result.classical_bits.values()),
+                                  []).append(result)
+        first, second = next(group for group in by_history.values()
+                             if len(group) > 1)[:2]
+        assert first.state is not second.state
+        assert first.state is first.state   # copied once, on first read
+        before = second.state.amplitudes.copy()
+        first.state.amplitudes[:] = 0.0
+        assert np.array_equal(second.state.amplitudes, before)
 
     def test_zero_shots(self):
         circuit = random_circuit(2, 6, 0, False)
@@ -126,6 +167,35 @@ class TestExecuteShotsBitIdentity:
         batched = microarch.execute_shots(branchy, 3,
                                           rng=np.random.default_rng(5))
         assert_results_identical(reference, batched)
+
+
+class TestBatchedMeasurementBitIdentity:
+    """The stack's measurement steps against the scalar ones, member by
+    member.  A probability off by one ulp almost never flips an outcome,
+    so only a direct comparison sees a changed summation order."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(num_qubits=st.integers(1, 10), seed=st.integers(0, 2 ** 16),
+           rows=st.sampled_from([1, 7, 40]))
+    def test_probability_and_collapse_match_scalar_members(self, num_qubits,
+                                                           seed, rows):
+        rng = np.random.default_rng(seed)
+        dim = 2 ** num_qubits
+        amplitudes = rng.normal(size=(rows, dim)) \
+            + 1j * rng.normal(size=(rows, dim))
+        amplitudes /= np.linalg.norm(amplitudes, axis=1)[:, None]
+        stack = BatchedStateVector(num_qubits, amplitudes=amplitudes)
+        qubit = int(rng.integers(0, num_qubits))
+        members = [StateVector(num_qubits, row) for row in amplitudes]
+        assert list(stack.probability_of(qubit, 1)) == [
+            member.probability_of(qubit, 1) for member in members]
+        parents = rng.integers(0, rows, size=rows + 3)
+        outcomes = rng.integers(0, 2, size=rows + 3)
+        children = stack.collapsed(parents, qubit, outcomes)
+        for child, parent, outcome in zip(children.amplitudes, parents,
+                                          outcomes):
+            reference = members[parent].copy().collapse(qubit, outcome)
+            assert np.array_equal(child, reference.amplitudes)
 
 
 class TestRuntimeWorkerStability:
