@@ -12,7 +12,9 @@ how results degrade as the chip gets worse:
 
 implemented as Monte-Carlo trajectories (exact for these channels when
 averaged over shots).  :class:`NoisyMicroArchitecture` drops into the
-stack wherever :class:`~repro.quantum.microarch.MicroArchitecture` fits.
+stack wherever :class:`~repro.quantum.microarch.MicroArchitecture` fits,
+including under :class:`~repro.quantum.runtime.QuantumRuntime`, where it
+runs shot by shot.
 """
 
 
@@ -117,6 +119,24 @@ class NoisyMicroArchitecture(MicroArchitecture):
 
         return ExecutionResult(cbits, state, executed, elapsed,
                                elapsed > self.coherence_ns)
+
+    def execute_shots(self, program, shots, rng=None,
+                      max_instructions=1_000_000, fuse=True):
+        """Run ``program`` for ``shots`` repetitions, one :meth:`execute`
+        per shot on one stream.
+
+        Noise draws interleave with each shot's measurement draws, so
+        shots share no gate work: this is the scalar loop the base class
+        runs for programs with branches.  ``fuse`` has nothing to fuse
+        here and is ignored.
+        """
+        rng = make_rng(rng)
+        shots = int(shots)
+        if shots < 0:
+            raise ValueError("shots must be non-negative")
+        return [self.execute(program, rng=rng,
+                             max_instructions=max_instructions)
+                for _ in range(shots)]
 
 
 def bell_fidelity_vs_noise(gate_errors, shots=400, rng=None):

@@ -14,6 +14,7 @@ from ..core import parallel, profiling, telemetry
 from ..core.exceptions import QuantumError
 from ..core.rngs import make_rng
 from .microarch import MicroArchitecture, assemble
+from .noise import NoisyMicroArchitecture
 
 
 def circuit_fingerprint(circuit):
@@ -41,9 +42,14 @@ def circuit_fingerprint(circuit):
 
 def _microarch_meta(microarch):
     """The micro-architecture knobs that decide shot results/timing."""
-    return {"num_qubits": int(microarch.num_qubits),
+    meta = {"class": type(microarch).__name__,
+            "num_qubits": int(microarch.num_qubits),
             "durations_ns": dict(microarch.durations_ns),
             "coherence_ns": float(microarch.coherence_ns)}
+    if isinstance(microarch, NoisyMicroArchitecture):
+        meta["gate_error"] = microarch.noise.gate_error
+        meta["readout_error"] = microarch.noise.readout_error
+    return meta
 
 
 def _run_shot_chunk(payload):

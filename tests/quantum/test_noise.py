@@ -1,15 +1,18 @@
 """Tests for the quantum noise channels (Section II.B's coherence challenge)."""
 
+import numpy as np
 import pytest
 
+from repro.core.cache import ResultCache
 from repro.core.exceptions import QuantumError
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.microarch import assemble
+from repro.quantum.microarch import MicroArchitecture, assemble
 from repro.quantum.noise import (
     DepolarizingNoise,
     NoisyMicroArchitecture,
     bell_fidelity_vs_noise,
 )
+from repro.quantum.runtime import QuantumRuntime
 
 
 class TestDepolarizingNoise:
@@ -70,6 +73,30 @@ class TestNoisyMicroArchitecture:
         noisy = NoisyMicroArchitecture(2, DepolarizingNoise())
         result = noisy.execute(self._bell_program(), rng=0)
         assert result.elapsed_ns > 0.0
+
+    def test_runtime_runs_the_noise_under_its_own_cache_key(self, tmp_path):
+        kernel = QuantumCircuit(2).h(0).cnot(0, 1)
+        kernel.measure(0, "a").measure(1, "b")
+        noisy = NoisyMicroArchitecture(2, DepolarizingNoise(0.3, 0.2))
+        rng = np.random.default_rng(1)
+        expected = {}
+        for _ in range(400):
+            value = noisy.execute(self._bell_program(),
+                                  rng=rng).bits_as_int(["a", "b"])
+            expected[value] = expected.get(value, 0) + 1
+        assert len(expected) == 4          # the ideal chip gives only 0, 3
+        assert QuantumRuntime(noisy).run(kernel, shots=400, rng=1,
+                                         cache=False).counts == expected
+        # an ideal run stored first must not answer for the noisy chip,
+        # nor one noisy chip for another with other error rates
+        cache = ResultCache(str(tmp_path))
+        QuantumRuntime(MicroArchitecture(2)).run(kernel, shots=400, rng=1,
+                                                 cache=cache)
+        QuantumRuntime(NoisyMicroArchitecture(
+            2, DepolarizingNoise(0.3, 0.0))).run(kernel, shots=400, rng=1,
+                                                 cache=cache)
+        assert QuantumRuntime(noisy).run(kernel, shots=400, rng=1,
+                                         cache=cache).counts == expected
 
 
 class TestBellFidelityCurve:
