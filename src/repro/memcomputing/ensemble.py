@@ -114,7 +114,6 @@ class BatchedDmm:
         # (K, M) transposes of the system's (M, K) literal tables
         self._var_index = np.ascontiguousarray(system.var_index.T)
         self._sign = np.ascontiguousarray(system.sign.T)
-        self._half_sign = 0.5 * self._sign
         self._slot_mask = np.ascontiguousarray(system._slot_mask.T)
         self._slots = np.arange(system.clause_width)[:, None]
         self._scatter_cache = {}
@@ -172,8 +171,8 @@ class BatchedDmm:
             np.minimum(smallest, column, out=smallest)
 
         is_best = best[:, None, :] == self._slots
-        grad = self._half_sign * np.where(is_best, second[:, None, :],
-                                          smallest[:, None, :])
+        grad = 0.5 * self._sign * np.where(is_best, second[:, None, :],
+                                           smallest[:, None, :])
         # rigidity term: only the best-satisfying slot is driven
         rigid = np.where(is_best, 0.5 * (self._sign - v_lit), 0.0)
 

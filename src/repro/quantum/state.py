@@ -235,10 +235,10 @@ class BatchedStateVector:
     equivalence tier asserts this with ``np.array_equal``).  Measurement
     statistics keep the scalar reductions member by member:
     :meth:`probability_of` sums each member's masked half on its own
-    (an ``np.sum`` over the stack's rows changes the summation tree from
-    7 rows up), and :meth:`collapsed` normalizes with the same per-row
-    BLAS dots :func:`np.linalg.norm` runs.  Only the elementwise work
-    around them spans the whole stack.
+    (``np.sum`` along the rows of a stack does not add in the per-row
+    order, so its last bits differ), and :meth:`collapsed` normalizes
+    with the same per-row BLAS dots :func:`np.linalg.norm` runs.  Only
+    the elementwise work around them spans the whole stack.
 
     Parameters
     ----------

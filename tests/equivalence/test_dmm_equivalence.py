@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from repro.core import integrators, resilience, telemetry
 from repro.core.cache import ResultCache
-from repro.core.exceptions import ParallelError
 from repro.core.cnf import CnfFormula
+from repro.core.exceptions import ParallelError
 from repro.core.rngs import make_rng
 from repro.core.sat_instances import planted_ksat, random_ksat
 from repro.memcomputing.ensemble import BatchedDmm, solve_ensemble

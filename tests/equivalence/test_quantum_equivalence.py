@@ -59,8 +59,8 @@ def circuit_depth(num_qubits):
 
 
 def assert_wide_tree(results):
-    """Row-batched reductions part from per-row ones only from 7 rows
-    up, so the wide examples must reach levels that wide."""
+    """The wide examples must reach levels of 7 or more members, where
+    each measurement collapses many rows of the stack at once."""
     histories = {tuple(result.classical_bits.values()) for result in results}
     assert len(histories) >= 7
 

@@ -78,11 +78,11 @@ class TestNoisyMicroArchitecture:
         kernel = QuantumCircuit(2).h(0).cnot(0, 1)
         kernel.measure(0, "a").measure(1, "b")
         noisy = NoisyMicroArchitecture(2, DepolarizingNoise(0.3, 0.2))
+        program = assemble(kernel)
         rng = np.random.default_rng(1)
         expected = {}
         for _ in range(400):
-            value = noisy.execute(self._bell_program(),
-                                  rng=rng).bits_as_int(["a", "b"])
+            value = noisy.execute(program, rng=rng).bits_as_int(["a", "b"])
             expected[value] = expected.get(value, 0) + 1
         assert len(expected) == 4          # the ideal chip gives only 0, 3
         assert QuantumRuntime(noisy).run(kernel, shots=400, rng=1,
