@@ -18,10 +18,10 @@ test-parallel:
 		$(PYTHON) -m pytest tests/core/test_cli.py \
 		tests/memcomputing/test_ensemble.py -q
 
-# Recovery suite: retry/backoff, fault injection, resuming a killed run
+# Recovery suite: retry budgets, fault injection, resuming a killed run
 # from its cache directory, then an end-to-end check that a fault plan
 # injected through the environment (REPRO_FAULTS) really reaches the
-# engine.
+# engine and that an int retry budget recovers from it.
 test-resilience:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		$(PYTHON) -m pytest tests/core/test_resilience.py \
@@ -30,6 +30,7 @@ test-resilience:
 		$(PYTHON) -c "from repro.core.parallel import ParallelMap, \
 TaskFailure; r = ParallelMap().map(abs, [-1, -2], on_error='return'); \
 assert isinstance(r[0], TaskFailure) and r[1] == 2, r; \
+r = ParallelMap().map(abs, [-1, -2], retry=2); assert r == [1, 2], r; \
 print('REPRO_FAULTS env injection: ok')"
 
 # Serving tier: the asyncio job service (admission, coalescing,

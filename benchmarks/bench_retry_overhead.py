@@ -1,7 +1,7 @@
 """Zero-fault overhead of the retry engine on the parallel map.
 
 The resilience contract (docs/resilience.md) is that retry support is
-free when nothing fails: passing a :class:`RetryPolicy` to
+free when nothing fails: passing a retry budget to
 ``ParallelMap.map`` adds per-round bookkeeping (a retry queue, failure
 classification, per-attempt task copies on the serial path) but no
 re-execution, so a fault-free run must cost essentially the same as a
@@ -11,8 +11,8 @@ numerically real chunks.
 Two timings over the *same task list*:
 
 * ``plain``  -- ``ParallelMap(workers=1).map(fn, tasks)``;
-* ``retry``  -- the same call with ``retry=RetryPolicy(max_attempts=3)``
-  (nothing ever fails, so no chunk is re-dispatched).
+* ``retry``  -- the same call with ``retry=3`` (nothing ever fails, so
+  no chunk is re-dispatched).
 
 Identical seeds force identical results (asserted bit-for-bit), so any
 timing difference is retry-engine bookkeeping.  The acceptance bar:
@@ -25,7 +25,6 @@ import numpy as np
 from conftest import emit_table
 
 from repro.core.parallel import ParallelMap
-from repro.core.resilience import RetryPolicy
 
 NUM_TASKS = 64
 MATRIX_SIZE = 48
@@ -59,7 +58,6 @@ def _timed_map(retry):
 def run_overhead():
     """Interleaved min-of-N timings; returns the measurement dict."""
     times = {"plain": [], "retry": []}
-    policy = RetryPolicy(max_attempts=3)
     baseline = None
     for _ in range(REPEATS):
         results, elapsed = _timed_map(retry=None)
@@ -68,7 +66,7 @@ def run_overhead():
             baseline = results
         assert results == baseline
 
-        results, elapsed = _timed_map(retry=policy)
+        results, elapsed = _timed_map(retry=3)
         times["retry"].append(elapsed)
         # retry support must not perturb a fault-free run's results
         assert results == baseline
@@ -85,7 +83,7 @@ def test_zero_fault_retry_overhead(benchmark):
     retry_overhead = measurement["retry_overhead"]
     rows = [
         ("plain map (no retry)", best["plain"] * 1e3, "-"),
-        ("retry=RetryPolicy(max_attempts=3)", best["retry"] * 1e3,
+        ("retry=3", best["retry"] * 1e3,
          "%+.2f%%" % (100.0 * retry_overhead)),
     ]
     emit_table(
@@ -98,7 +96,7 @@ def test_zero_fault_retry_overhead(benchmark):
                "asserted bit-identical, so timing deltas are pure "
                "retry-engine bookkeeping.",
                "Contract (docs/resilience.md): a fault-free run with a "
-               "retry policy stays below %.0f%% overhead."
+               "retry budget stays below %.0f%% overhead."
                % (100 * OVERHEAD_BUDGET)],
     )
     assert retry_overhead < OVERHEAD_BUDGET, (

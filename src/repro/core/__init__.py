@@ -18,7 +18,7 @@ from .cnf import Clause, CnfFormula, parse_dimacs
 from .parallel import ParallelMap, TaskFailure, parallel_map
 from .profiling import Profile, ProfileSink, record_throughput
 from .provenance import host_provenance
-from .resilience import FaultPlan, RetryPolicy, use_faults
+from .resilience import FaultPlan, use_faults
 from .integrators import (
     Trajectory,
     integrate_adaptive,
@@ -54,7 +54,6 @@ __all__ = [
     "TaskFailure",
     "parallel_map",
     "FaultPlan",
-    "RetryPolicy",
     "use_faults",
     "Clause",
     "CnfFormula",

@@ -36,8 +36,8 @@ class ParallelError(CoreError):
 
 
 class ResilienceError(CoreError):
-    """Retry or fault-injection misuse (bad retry policy or budget,
-    malformed fault spec)."""
+    """Retry or fault-injection misuse (a retry budget that is not an
+    int >= 1, malformed fault spec)."""
 
 
 class CacheError(CoreError):

@@ -20,7 +20,7 @@ the host-side scheduler for those bags:
   payloads on a bounded set of worker processes, with ordered result
   collection, per-task timeouts, crash recovery (a dead worker marks
   its chunk failed and the run continues), per-chunk retries
-  (:class:`~repro.core.resilience.RetryPolicy`), result validation, and
+  (``retry=N`` attempts), result validation, and
   content-addressed chunk reuse (:class:`~repro.core.cache.CacheSpec` --
   a cached chunk skips dispatch and replays bit-identically, so a
   killed run re-run against the same cache directory resumes),
@@ -667,14 +667,13 @@ class ParallelMap:
             :class:`ParallelError` (after every task has been given the
             chance to finish and retry); ``"return"`` leaves a
             :class:`TaskFailure` in the failed slots instead.
-        retry : None, int, or RetryPolicy
-            Per-chunk retry budget
+        retry : None or int
+            Total attempts per chunk, the first included
             (:func:`repro.core.resilience.resolve_retry`).  A failed
-            chunk whose reason the policy retries is re-dispatched with
-            its original payload -- results stay bit-identical to a
-            fault-free run -- after the policy's deterministic backoff
-            delay.  Failures that exhaust the budget (or are not
-            retryable) count into ``parallel.giveups``.
+            chunk, whatever its failure reason, is re-dispatched in the
+            next round, with no wait, with its original payload --
+            results stay bit-identical to a fault-free run.  Failures
+            that exhaust the budget count into ``parallel.giveups``.
         validate : callable, optional
             Called on each successful result; returning falsy converts
             the result into ``TaskFailure(reason="invalid")`` --
@@ -745,9 +744,7 @@ class ParallelMap:
                         if registry.enabled:
                             registry.counter("parallel.failures").inc()
                     if isinstance(value, TaskFailure):
-                        if retry is not None \
-                                and attempt < retry.max_attempts \
-                                and retry.retries(value.reason):
+                        if retry is not None and attempt < retry:
                             retry_pairs.append((index, task))
                             if registry.enabled:
                                 registry.counter("parallel.retries").inc()
@@ -759,11 +756,6 @@ class ParallelMap:
                         outcomes[index] = value
                         if cache is not None:
                             cache.store(value, index)
-                if retry_pairs:
-                    delay = max(retry.delay(index, attempt)
-                                for index, _task in retry_pairs)
-                    if delay > 0.0:
-                        time.sleep(delay)
                 pending = retry_pairs
                 attempt += 1
             results = [outcomes[index] for index in range(total)]

@@ -6,11 +6,9 @@ workers fail, time out, and get retried without corrupting results.
 :mod:`repro.core.parallel` detects chunk failures (error / timeout /
 crash); this module turns detection into *recovery*:
 
-* :class:`RetryPolicy` -- per-chunk retry budget with exponential
-  backoff and deterministic jitter (drawn from a
-  :func:`~repro.core.rngs.spawn_rngs` stream keyed on ``(root seed,
-  chunk index, attempt)``, so the delay schedule -- like everything
-  else in the engine -- is independent of the worker count),
+* :func:`resolve_retry` -- checks a ``retry=`` argument: None or an
+  int, the total attempts per chunk; a failed chunk is re-dispatched in
+  the engine's next round, with no wait, whatever its failure reason,
 * :class:`FaultPlan` -- a test harness that injects ``raise`` /
   ``hang`` / ``kill`` / ``nan`` faults at chosen chunk x attempt
   coordinates, enabled programmatically (:func:`use_faults`), through
@@ -33,10 +31,7 @@ deep-copies the payload before every attempt whenever retries or fault
 injection are active.  A chunk that eventually succeeds therefore
 returns exactly what a fault-free run returns -- the recovery suite
 (``tests/core/test_resilience.py``) holds the library to that bit for
-bit.  :func:`coordinate_rng` additionally derives a fresh stream from
-``(root seed, chunk index, attempt)`` for callers (and the backoff
-jitter) that want per-attempt randomness without breaking the
-contract.
+bit.
 """
 
 import contextlib
@@ -47,132 +42,28 @@ import time
 import numpy as np
 
 from .exceptions import InjectedFault, ResilienceError
-from .rngs import spawn_rngs
 
 #: Environment variable carrying a fault-plan spec
 #: (``"chunk:attempt:action[,chunk:attempt:action...]"``).
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Mask keeping SeedSequence entropy words non-negative 64-bit ints.
-_SEED_MASK = (1 << 63) - 1
-
-
-def coordinate_rng(root_seed, chunk_index, attempt):
-    """Deterministic generator for one ``(root seed, chunk, attempt)``.
-
-    The stream depends only on its coordinates -- never on the worker
-    count or on how many other chunks were retried -- so per-attempt
-    randomness (backoff jitter, attempt-specific reseeding) preserves
-    the engine's bit-identical-across-workers contract.
-    """
-    seq = np.random.SeedSequence([int(root_seed) & _SEED_MASK,
-                                  int(chunk_index) & _SEED_MASK,
-                                  int(attempt) & _SEED_MASK])
-    return spawn_rngs(np.random.default_rng(seq), 1)[0]
-
-
-class RetryPolicy:
-    """How (and whether) failed chunks are re-dispatched.
-
-    Parameters
-    ----------
-    max_attempts : int
-        Total attempts per chunk, including the first (1 == no retry).
-    backoff_base : float
-        Delay in seconds before the second attempt; 0 disables sleeping
-        (tests use this to keep retries instantaneous).
-    backoff_factor : float
-        Multiplier applied per additional attempt (exponential backoff).
-    backoff_max : float
-        Upper clamp on any single delay.
-    jitter : float
-        Fractional jitter: the delay is scaled by ``1 + jitter * u``
-        with ``u`` drawn from :func:`coordinate_rng` -- deterministic
-        given ``(seed, chunk index, attempt)``.
-    retry_on : iterable of str
-        :class:`~repro.core.parallel.TaskFailure` reasons that warrant
-        a retry; the default retries everything the engine classifies
-        (``error`` / ``timeout`` / ``crashed`` / ``invalid``).
-    seed : int
-        Root seed for the jitter streams.
-    """
-
-    #: Every failure reason the engine can classify.
-    RETRYABLE_REASONS = ("error", "timeout", "crashed", "invalid")
-
-    def __init__(self, max_attempts=3, backoff_base=0.05,
-                 backoff_factor=2.0, backoff_max=2.0, jitter=0.25,
-                 retry_on=None, seed=0):
-        if int(max_attempts) < 1:
-            raise ResilienceError(
-                "max_attempts must be >= 1, got %r" % (max_attempts,))
-        if backoff_base < 0 or backoff_max < 0 or jitter < 0:
-            raise ResilienceError(
-                "backoff_base, backoff_max, and jitter must be "
-                "non-negative")
-        if backoff_factor < 1.0:
-            raise ResilienceError(
-                "backoff_factor must be >= 1, got %r" % (backoff_factor,))
-        reasons = self.RETRYABLE_REASONS if retry_on is None \
-            else tuple(retry_on)
-        unknown = set(reasons) - set(self.RETRYABLE_REASONS)
-        if unknown:
-            raise ResilienceError(
-                "unknown retry_on reason(s) %s; choose from %s"
-                % (sorted(unknown), list(self.RETRYABLE_REASONS)))
-        self.max_attempts = int(max_attempts)
-        self.backoff_base = float(backoff_base)
-        self.backoff_factor = float(backoff_factor)
-        self.backoff_max = float(backoff_max)
-        self.jitter = float(jitter)
-        self.retry_on = reasons
-        self.seed = int(seed)
-
-    def retries(self, reason):
-        """True when a failure with this reason is worth re-dispatching."""
-        return reason in self.retry_on
-
-    def delay(self, chunk_index, attempt):
-        """Seconds to wait before re-running ``chunk_index``.
-
-        ``attempt`` is the (1-based) attempt that just failed; the
-        jitter is a pure function of ``(seed, chunk index, attempt)``.
-        """
-        if self.backoff_base <= 0.0:
-            return 0.0
-        raw = self.backoff_base * self.backoff_factor ** (attempt - 1)
-        if self.jitter > 0.0:
-            u = coordinate_rng(self.seed, chunk_index, attempt).random()
-            raw *= 1.0 + self.jitter * u
-        return min(raw, self.backoff_max)
-
-    def __repr__(self):
-        return ("RetryPolicy(max_attempts=%d, backoff_base=%g, "
-                "retry_on=%s)" % (self.max_attempts, self.backoff_base,
-                                  list(self.retry_on)))
-
 
 def resolve_retry(retry):
-    """Coerce a ``retry`` argument into a :class:`RetryPolicy` or None.
+    """Coerce a ``retry`` argument into an attempt count or None.
 
-    Accepts ``None`` (no retries), an existing policy, or an int --
-    the CLI's ``--retries N`` -- read as ``max_attempts``: ``N == 1``
-    means no retries, and ``N < 1`` raises :class:`ResilienceError`.
+    ``retry`` is None (no retries) or an int -- the CLI's ``--retries
+    N`` -- giving the total attempts per chunk, the first included.
+    ``N == 1`` means no retries and returns None; ``N < 1`` or anything
+    but an int raises :class:`ResilienceError`.
     """
     if retry is None:
         return None
-    if isinstance(retry, RetryPolicy):
-        return retry
-    if isinstance(retry, (int, np.integer)) and not isinstance(retry, bool):
-        attempts = int(retry)
-        if attempts < 1:
-            raise ResilienceError(
-                "retries must be >= 1, got %d" % attempts)
-        if attempts == 1:
-            return None
-        return RetryPolicy(max_attempts=attempts)
-    raise ResilienceError(
-        "retry must be None, an int, or a RetryPolicy; got %r" % (retry,))
+    if not isinstance(retry, (int, np.integer)) or isinstance(retry, bool):
+        raise ResilienceError(
+            "retry must be None or an int attempt count; got %r" % (retry,))
+    if retry < 1:
+        raise ResilienceError("retries must be >= 1, got %d" % retry)
+    return int(retry) if retry > 1 else None
 
 
 # -- fault injection -------------------------------------------------------

@@ -301,10 +301,10 @@ def solve_ensemble(formula, batch=32, dt=0.08, max_steps=100_000,
     -----------------------
     timeout : float or None
         Per-block wall-clock budget (enforced on the process path).
-    retry : None, int, or RetryPolicy
-        Retry budget per failed block; retried blocks replay their
-        original RNG stream, so results stay bit-identical to a
-        fault-free run.
+    retry : None or int
+        Total attempts per block, the first included; retried blocks
+        replay their original RNG stream, so results stay bit-identical
+        to a fault-free run.
     cache : None, False, str, or ResultCache
         Content-addressed result reuse (:mod:`repro.core.cache`).
         ``None`` consults the active cache (``REPRO_CACHE_DIR`` or

@@ -290,10 +290,10 @@ def solve_portfolio(formula, attempts=4, rng=None, workers=None,
     Every call is chunked, one member per chunk
     (:func:`repro.core.parallel.run_workload`).  ``timeout`` (seconds
     per member) and worker crashes mark individual members failed
-    without sinking the portfolio; ``retry`` (attempt budget or
-    :class:`~repro.core.resilience.RetryPolicy`) re-runs a failed member
-    with its original stream before giving up; ``cache`` (None / False /
-    path / :class:`~repro.core.cache.ResultCache`) stores each finished
+    without sinking the portfolio; ``retry`` (total attempts per
+    member) re-runs a failed member with its original stream before
+    giving up; ``cache`` (None / False / path /
+    :class:`~repro.core.cache.ResultCache`) stores each finished
     member content-addressed by formula, settings, and RNG fingerprint
     (:mod:`repro.core.cache`; seeded runs only), so a killed portfolio
     re-run against the same cache directory integrates only its

@@ -2,11 +2,11 @@
 
 Three layers:
 
-* policy/plan mechanics -- RetryPolicy classification and deterministic
-  backoff, FaultPlan parsing (programmatic, env var, pytest fixture),
-  NaN corruption;
+* budget/plan mechanics -- ``retry=`` validation, FaultPlan parsing
+  (programmatic, env var, pytest fixture), NaN corruption;
 * engine recovery -- injected raise/nan/kill/hang faults are retried to
-  success (bit-identical with a fault-free run) or give up cleanly;
+  success (bit-identical with a fault-free run, without sleeping) or
+  give up cleanly;
 * acceptance -- ``solve_ensemble`` survives a kill+hang+nan fault plan
   bit-identically, a killed chunked run re-run against its cache
   directory executes only the missing chunk and equals the
@@ -14,12 +14,14 @@ Three layers:
   against that directory gets its own answer.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import telemetry
+from repro.core import parallel, telemetry
 from repro.core.cache import ResultCache
 from repro.core.exceptions import (
     InjectedFault,
@@ -30,9 +32,7 @@ from repro.core.parallel import ParallelMap, TaskFailure
 from repro.core.resilience import (
     FAULTS_ENV,
     FaultPlan,
-    RetryPolicy,
     active_fault_plan,
-    coordinate_rng,
     nan_corrupt,
     resolve_retry,
     rng_fingerprint,
@@ -66,54 +66,7 @@ def _rng_tasks(count=4, seed=1000):
             for index in range(count)]
 
 
-# -- RetryPolicy -----------------------------------------------------------
-
-class TestRetryPolicy:
-    def test_defaults_retry_every_reason(self):
-        policy = RetryPolicy()
-        for reason in ("error", "timeout", "crashed", "invalid"):
-            assert policy.retries(reason)
-
-    def test_retry_on_subset(self):
-        policy = RetryPolicy(retry_on=("timeout", "crashed"))
-        assert policy.retries("timeout")
-        assert not policy.retries("error")
-
-    def test_unknown_reason_rejected(self):
-        with pytest.raises(ResilienceError, match="unknown retry_on"):
-            RetryPolicy(retry_on=("error", "meltdown"))
-
-    def test_delay_is_deterministic_per_coordinate(self):
-        policy = RetryPolicy(backoff_base=0.1, jitter=0.5, seed=3)
-        assert policy.delay(2, 1) == policy.delay(2, 1)
-        # different coordinates draw different jitter
-        assert policy.delay(2, 1) != policy.delay(3, 1)
-
-    def test_delay_grows_then_clamps(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=4.0,
-                             backoff_max=0.5, jitter=0.0)
-        assert policy.delay(0, 1) == pytest.approx(0.1)
-        assert policy.delay(0, 2) == pytest.approx(0.4)
-        assert policy.delay(0, 3) == 0.5  # clamped
-
-    def test_zero_base_disables_sleeping(self):
-        assert RetryPolicy(backoff_base=0.0).delay(0, 5) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ResilienceError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ResilienceError):
-            RetryPolicy(backoff_base=-1.0)
-        with pytest.raises(ResilienceError):
-            RetryPolicy(backoff_factor=0.5)
-
-    def test_coordinate_rng_pure_function_of_coordinates(self):
-        a = coordinate_rng(7, 2, 1).random()
-        b = coordinate_rng(7, 2, 1).random()
-        c = coordinate_rng(7, 2, 2).random()
-        assert a == b
-        assert a != c
-
+# -- retry budgets ---------------------------------------------------------
 
 class TestResolveRetry:
     def test_none_and_one_mean_no_retries(self):
@@ -121,13 +74,8 @@ class TestResolveRetry:
         assert resolve_retry(1) is None
 
     def test_int_becomes_max_attempts(self):
-        policy = resolve_retry(4)
-        assert isinstance(policy, RetryPolicy)
-        assert policy.max_attempts == 4
-
-    def test_policy_passes_through(self):
-        policy = RetryPolicy(max_attempts=2)
-        assert resolve_retry(policy) is policy
+        assert resolve_retry(4) == 4
+        assert resolve_retry(np.int64(4)) == 4
 
     def test_bad_values_rejected(self):
         with pytest.raises(ResilienceError):
@@ -136,6 +84,11 @@ class TestResolveRetry:
             resolve_retry(True)
         with pytest.raises(ResilienceError):
             resolve_retry("twice")
+
+    @pytest.mark.parametrize("bad", [0, -1, True, 2.0, "2", [3]])
+    def test_retry_argument_takes_only_an_int_budget(self, bad):
+        with pytest.raises(ResilienceError):
+            ParallelMap(workers=1).map(_square, [1, 2], retry=bad)
 
 
 # -- FaultPlan -------------------------------------------------------------
@@ -203,21 +156,38 @@ class TestNanCorrupt:
 
 # -- engine recovery under injected faults ---------------------------------
 
-_FAST = RetryPolicy(max_attempts=3, backoff_base=0.0)
+class _SleepRecorder:
+    """Stands in for the ``time`` module inside ``repro.core.parallel``,
+    recording every ``sleep`` the engine asks for."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+    def sleep(self, seconds):
+        self.calls.append(seconds)
+        time.sleep(seconds)
 
 
 class TestEngineRecovery:
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_raise_fault_retried_bit_identically(self, workers):
+    def test_raise_fault_retried_bit_identically(self, workers,
+                                                 monkeypatch):
+        # A failed chunk is re-dispatched in the next round with no wait.
         baseline = ParallelMap(workers=workers).map(
             _draw_block, _rng_tasks())
+        recorder = _SleepRecorder()
+        monkeypatch.setattr(parallel, "time", recorder)
         with use_faults("0:1:raise,2:1:raise,2:2:raise"):
             registry = telemetry.MetricsRegistry()
             with telemetry.use_registry(registry):
                 recovered = ParallelMap(workers=workers).map(
-                    _draw_block, _rng_tasks(), retry=_FAST)
+                    _draw_block, _rng_tasks(), retry=3)
         for expected, actual in zip(baseline, recovered):
             assert np.array_equal(expected, actual)
+        assert recorder.calls == []
         assert registry.counter("parallel.retries").value == 3
         assert registry.counter("parallel.giveups").value == 0
 
@@ -227,7 +197,7 @@ class TestEngineRecovery:
             registry = telemetry.MetricsRegistry()
             with telemetry.use_registry(registry):
                 results = ParallelMap(workers=workers).map(
-                    _square, [1, 2, 3], retry=_FAST, on_error="return")
+                    _square, [1, 2, 3], retry=3, on_error="return")
         assert results[0] == 1 and results[2] == 9
         assert isinstance(results[1], TaskFailure)
         assert results[1].reason == "error"
@@ -237,16 +207,7 @@ class TestEngineRecovery:
     def test_exhausted_budget_raises_by_default(self):
         with use_faults("0:1:raise,0:2:raise,0:3:raise"):
             with pytest.raises(ParallelError, match="task 0 error"):
-                ParallelMap(workers=1).map(_square, [1, 2], retry=_FAST)
-
-    def test_non_retryable_reason_fails_immediately(self):
-        policy = RetryPolicy(max_attempts=3, backoff_base=0.0,
-                             retry_on=("timeout",))
-        with use_faults("0:1:raise"):
-            results = ParallelMap(workers=1).map(
-                _square, [1, 2], retry=policy, on_error="return")
-        assert isinstance(results[0], TaskFailure)
-        assert "injected" in results[0].message
+                ParallelMap(workers=1).map(_square, [1, 2], retry=3)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nan_fault_caught_by_validate_and_retried(self, workers):
@@ -254,7 +215,7 @@ class TestEngineRecovery:
             _draw_block, _rng_tasks())
         with use_faults("1:1:nan"):
             recovered = ParallelMap(workers=workers).map(
-                _draw_block, _rng_tasks(), retry=_FAST,
+                _draw_block, _rng_tasks(), retry=3,
                 validate=_all_finite)
         for expected, actual in zip(baseline, recovered):
             assert np.array_equal(expected, actual)
@@ -272,7 +233,7 @@ class TestEngineRecovery:
         # retryable failure, never os._exit the host
         with use_faults("0:1:kill,1:1:hang"):
             results = ParallelMap(workers=1).map(
-                _square, [2, 3], retry=_FAST)
+                _square, [2, 3], retry=3)
         assert results == [4, 9]
 
     def test_serial_kill_without_retry_reports_injected_fault(self):
@@ -287,14 +248,14 @@ class TestEngineRecovery:
             registry = telemetry.MetricsRegistry()
             with telemetry.use_registry(registry):
                 results = ParallelMap(workers=2).map(
-                    _square, [1, 2, 3], retry=_FAST)
+                    _square, [1, 2, 3], retry=3)
         assert results == [1, 4, 9]
         assert registry.counter("parallel.retries").value == 1
 
     def test_process_hang_times_out_and_is_retried(self):
         with use_faults(FaultPlan([(0, 1, "hang")], hang_seconds=60.0)):
             results = ParallelMap(workers=2, timeout=1.5).map(
-                _square, [1, 2], retry=_FAST)
+                _square, [1, 2], retry=3)
         assert results == [1, 4]
 
 
@@ -310,7 +271,7 @@ def test_property_retryable_faults_within_budget_are_invisible(faults):
     baseline = ParallelMap(workers=1).map(_draw_block, _rng_tasks())
     with use_faults(FaultPlan(faults)):
         recovered = ParallelMap(workers=1).map(
-            _draw_block, _rng_tasks(), retry=_FAST, validate=_all_finite)
+            _draw_block, _rng_tasks(), retry=3, validate=_all_finite)
     for expected, actual in zip(baseline, recovered):
         assert np.array_equal(expected, actual)
 
@@ -350,7 +311,7 @@ class TestEnsembleResilience:
                          hang_seconds=600.0)
         with use_faults(plan):
             recovered = solve_ensemble(formula, workers=2, timeout=10.0,
-                                       retry=_FAST, **self.RUN_ARGS)
+                                       retry=3, **self.RUN_ARGS)
         assert np.array_equal(clean.solve_steps, recovered.solve_steps)
         assert recovered.max_steps == clean.max_steps
 
@@ -362,13 +323,13 @@ class TestEnsembleResilience:
         # chunks 0-1 were stored in the cache directory as they finished
         with use_faults("2:1:raise,2:2:raise,2:3:raise"):
             with pytest.raises(ParallelError):
-                solve_ensemble(formula, workers=1, retry=_FAST,
+                solve_ensemble(formula, workers=1, retry=3,
                                cache=ResultCache(cache_dir), **self.RUN_ARGS)
         # second run, reading the directory as a fresh process would:
         # chunks 0-1 are hits, only chunk 2 executes (and is stored)
         registry = telemetry.MetricsRegistry()
         with telemetry.use_registry(registry):
-            resumed = solve_ensemble(formula, workers=1, retry=_FAST,
+            resumed = solve_ensemble(formula, workers=1, retry=3,
                                      cache=ResultCache(cache_dir),
                                      **self.RUN_ARGS)
         assert np.array_equal(uninterrupted.solve_steps,

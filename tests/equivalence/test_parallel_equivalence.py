@@ -158,9 +158,7 @@ class TestCheckpointEquivalence:
         try:
             with pytest.raises(ParallelError):
                 solve_ensemble(
-                    formula, workers=2,
-                    retry=resilience.RetryPolicy(max_attempts=3,
-                                                 backoff_base=0.0),
+                    formula, workers=2, retry=3,
                     cache=cache_module.ResultCache(str(tmp_path)),
                     **RUN_ARGS)
         finally:
