@@ -21,15 +21,16 @@ sweeps, DMM ensembles:
   one canonical JSON pass (:func:`digest`).
 * :class:`ResultCache` -- an in-process LRU front (recently used
   entries answered from memory) over an atomic on-disk store (one
-  JSON or NPZ file per entry, written via rename, so concurrent runs
-  never observe a torn entry).  Every stored entry carries its full
+  JSON file per entry, written via rename, so concurrent runs never
+  observe a torn entry).  Every stored entry carries its full
   fingerprint document; a lookup whose key matches but whose
   fingerprint does not (tampering, hash collision, stale directory)
   refuses reuse with a :class:`~repro.core.exceptions.CacheError`
   naming the offending path and both fingerprints.  An entry that
-  cannot be read at all (truncated, garbled) is renamed aside to
-  ``<name>.corrupt`` and answered as a miss, so the caller recomputes
-  and stores a fresh entry.
+  cannot be read at all (truncated, garbled) or whose value its kind's
+  ``decode`` rejects is renamed aside to ``<name>.corrupt`` and
+  answered as a miss, so the caller recomputes and stores a fresh
+  entry.
 * :class:`CacheSpec` -- the call-site bundle (cache, kind, meta,
   encode/decode) that :meth:`repro.core.parallel.ParallelMap.map`
   consumes for chunk-level caching: a cached chunk skips dispatch
@@ -95,7 +96,6 @@ import copy
 import hashlib
 import json
 import os
-import zipfile
 
 import numpy as np
 
@@ -286,13 +286,13 @@ class ResultCache:
     -----
     Values are deep-copied on their way in and out of the memory tier,
     so a caller mutating a returned result cannot corrupt the cache.
-    Disk entries are one file per key -- ``<key>.json`` for JSON-able
-    (possibly ``encode``-d) values, ``<key>.npz`` for raw numpy arrays
-    -- always written to a scratch name, flushed to disk, and renamed,
-    so a concurrent reader sees either the complete entry or none.  An
-    entry that cannot be read back (truncated or garbled by a crash or
-    a bad disk) is renamed to ``<name>.corrupt`` (``cache.corrupt``)
-    and answered as a miss.
+    Disk entries are one JSON file per key, ``<key>.json``, holding the
+    (possibly ``encode``-d) value -- always written to a scratch name,
+    flushed to disk, and renamed, so a concurrent reader sees either
+    the complete entry or none.  An entry that cannot be read back
+    (truncated or garbled by a crash or a bad disk), or whose value the
+    ``decode`` hook rejects, is renamed to ``<name>.corrupt``
+    (``cache.corrupt``) and answered as a miss.
     """
 
     def __init__(self, cache_dir=None, max_memory_entries=None,
@@ -323,11 +323,10 @@ class ResultCache:
         """A :class:`CacheSpec` binding this cache to one workload."""
         return CacheSpec(self, kind, meta, encode=encode, decode=decode)
 
-    def _paths(self, key):
+    def _path(self, key):
         if self.cache_dir is None:
-            return None, None
-        return (os.path.join(self.cache_dir, key + ".json"),
-                os.path.join(self.cache_dir, key + ".npz"))
+            return None
+        return os.path.join(self.cache_dir, key + ".json")
 
     # -- lookup -----------------------------------------------------------
 
@@ -338,7 +337,8 @@ class ResultCache:
         entry whose stored fingerprint disagrees raises
         :class:`CacheError` naming the path and both fingerprints
         instead of silently serving a wrong result.  An unreadable disk
-        entry is quarantined and counts as a miss.
+        entry, or one ``decode`` rejects, is quarantined and counts as a
+        miss.
         """
         registry = telemetry.get_registry()
         with telemetry.span("cache.lookup") as lookup_span:
@@ -362,36 +362,26 @@ class ResultCache:
             return True, copy.deepcopy(value)
 
     def _disk_lookup(self, key, doc, decode):
-        json_path, npz_path = self._paths(key)
-        if json_path is None:
+        path = self._path(key)
+        if path is None or not os.path.exists(path):
             return None, False
-        if os.path.exists(json_path):
+        try:
+            with open(path) as handle:
+                document = json.load(handle)
+            stored, value = document["fingerprint"], document["value"]
+        except (OSError, ValueError, KeyError, TypeError):
+            self._quarantine(path)
+            return None, False
+        self._check_fingerprint(path, stored, doc)
+        if decode is not None:
+            # A readable entry the codec cannot decode is damage too.
             try:
-                with open(json_path) as handle:
-                    document = json.load(handle)
-                stored, value = document["fingerprint"], document["value"]
-            except (OSError, ValueError, KeyError, TypeError):
-                self._quarantine(json_path)
-                return None, False
-            self._check_fingerprint(json_path, stored, doc)
-            self._touch(json_path)
-            if decode is not None:
                 value = decode(value)
-            return value, True
-        if os.path.exists(npz_path):
-            try:
-                with open(npz_path, "rb") as handle, \
-                        np.load(handle, allow_pickle=False) as data:
-                    stored = json.loads(str(data["fingerprint"]))
-                    value = np.array(data["value"])
-            except (OSError, ValueError, KeyError, EOFError,
-                    zipfile.BadZipFile):
-                self._quarantine(npz_path)
+            except (ValueError, KeyError, TypeError, IndexError):
+                self._quarantine(path)
                 return None, False
-            self._check_fingerprint(npz_path, stored, doc)
-            self._touch(npz_path)
-            return value, True
-        return None, False
+        self._touch(path)
+        return value, True
 
     @staticmethod
     def _quarantine(path):
@@ -426,9 +416,8 @@ class ResultCache:
     def store(self, key, doc, value, encode=None):
         """Record ``value`` under ``key`` in both tiers.
 
-        Raw numpy arrays (with no ``encode``) persist as ``.npz``;
-        everything else is ``encode``-d (default identity) into the JSON
-        entry alongside its fingerprint document.
+        The disk entry is the ``encode``-d value (default identity) in a
+        JSON document alongside its fingerprint document.
         """
         with telemetry.span("cache.store"):
             self._store(key, doc, value, encode)
@@ -439,43 +428,32 @@ class ResultCache:
         self.stores += 1
         if registry.enabled:
             registry.counter("cache.stores").inc()
-        json_path, npz_path = self._paths(key)
-        if json_path is None:
+        path = self._path(key)
+        if path is None:
             return
         os.makedirs(self.cache_dir, exist_ok=True)
+        encoded = value if encode is None else encode(value)
+        document = {"format": CACHE_FORMAT, "key": key,
+                    "fingerprint": jsonable(doc), "value": encoded}
+        try:
+            payload = json.dumps(document)
+        except (TypeError, ValueError) as error:
+            raise CacheError(
+                "cache value for kind %r is not JSON-able (%s); pass "
+                "an encode hook" % (doc.get("kind"), error))
         # Scratch names carry the writer's pid: two processes storing
         # the same key concurrently must not share a scratch file, or
         # the slower one's rename races the faster one's commit.
-        if encode is None and isinstance(value, np.ndarray):
-            scratch = "%s.%d.tmp" % (npz_path, os.getpid())
-            with open(scratch, "wb") as handle:
-                np.savez(handle, value=value,
-                         fingerprint=np.asarray(json.dumps(jsonable(doc))))
-                _sync(handle)
-            os.replace(scratch, npz_path)
-            written = os.path.getsize(npz_path)
-            stored_path = npz_path
-        else:
-            encoded = value if encode is None else encode(value)
-            document = {"format": CACHE_FORMAT, "key": key,
-                        "fingerprint": jsonable(doc), "value": encoded}
-            try:
-                payload = json.dumps(document)
-            except (TypeError, ValueError) as error:
-                raise CacheError(
-                    "cache value for kind %r is not JSON-able (%s); pass "
-                    "an encode hook" % (doc.get("kind"), error))
-            scratch = "%s.%d.tmp" % (json_path, os.getpid())
-            with open(scratch, "w") as handle:
-                handle.write(payload)
-                handle.write("\n")
-                _sync(handle)
-            os.replace(scratch, json_path)
-            written = len(payload) + 1
-            stored_path = json_path
+        scratch = "%s.%d.tmp" % (path, os.getpid())
+        with open(scratch, "w") as handle:
+            handle.write(payload)
+            handle.write("\n")
+            _sync(handle)
+        os.replace(scratch, path)
+        written = len(payload) + 1
         if registry.enabled:
             registry.counter("cache.bytes").inc(written)
-        self._enforce_disk_budget(written, stored_path)
+        self._enforce_disk_budget(written, path)
 
     def _disk_entries(self):
         """``(path, mtime, size)`` for every committed entry file."""
@@ -485,7 +463,7 @@ class ResultCache:
         except OSError:  # pragma: no cover -- directory vanished
             return entries
         for name in names:
-            if not name.endswith((".json", ".npz")):
+            if not name.endswith(".json"):
                 continue  # scratch files commit or vanish on their own
             path = os.path.join(self.cache_dir, name)
             try:

@@ -198,22 +198,11 @@ class TestResultCache:
         again = ResultCache(cache_dir=str(tmp_path))
         assert again.spec("demo", {"n": 2}).lookup(3) == (True, [1.5, 2.5])
 
-    def test_disk_npz_roundtrip_for_raw_arrays(self, tmp_path):
-        cache = ResultCache(cache_dir=str(tmp_path))
-        spec = cache.spec("demo", {"n": 3})
-        value = np.linspace(0.0, 1.0, 7)
-        spec.store(value)
-        cache.clear_memory()
-        hit, loaded = spec.lookup()
-        assert hit and isinstance(loaded, np.ndarray)
-        assert np.array_equal(loaded, value)
-        assert any(name.endswith(".npz") for name in os.listdir(tmp_path))
-
     def test_no_scratch_files_left_behind(self, tmp_path):
         cache = ResultCache(cache_dir=str(tmp_path))
         spec = cache.spec("demo", {})
         spec.store([1], index=0)
-        spec.store(np.arange(3.0), index=1)
+        spec.store([0.0, 1.0, 2.0], index=1)
         assert not [name for name in os.listdir(tmp_path)
                     if name.endswith(".tmp")]
 
@@ -231,6 +220,8 @@ class TestResultCache:
         spec = cache.spec("demo", {"n": 5})
         with pytest.raises(CacheError, match="encode hook"):
             spec.store(object())
+        with pytest.raises(CacheError, match="encode hook"):
+            spec.store(np.arange(3.0))
 
     def test_mismatched_fingerprint_refuses_with_path_and_both(
             self, tmp_path):
@@ -275,24 +266,31 @@ class TestResultCache:
         cache.clear_memory()
         assert spec.lookup(0) == (True, [1.5, 2.5])
 
-    def test_corrupt_npz_entry_is_quarantined_as_a_miss(self, tmp_path):
+    # Each stored value makes the decode hook (shaped like the kernel
+    # codecs) raise one of the exceptions the codecs raise.
+    @pytest.mark.parametrize("stored", [[], ["x", 1], None, {"a": 1}],
+                             ids=["IndexError", "ValueError", "TypeError",
+                                  "KeyError"])
+    def test_entry_its_codec_rejects_is_quarantined_as_a_miss(
+            self, tmp_path, stored):
         cache = ResultCache(cache_dir=str(tmp_path))
-        spec = cache.spec("demo", {"n": 7})
-        value = np.linspace(0.0, 1.0, 9)
-        spec.store(value)
+        spec = cache.spec("demo", {"n": 7}, encode=list,
+                          decode=lambda doc: (int(doc[0]), int(doc[1])))
+        spec.store((3, 4))
         cache.clear_memory()
-        path = tmp_path / (spec.key() + ".npz")
-        payload = path.read_bytes()
-        path.write_bytes(payload[:len(payload) // 2])
+        path = tmp_path / (spec.key() + ".json")
+        document = json.loads(path.read_text())
+        document["value"] = stored
+        path.write_text(json.dumps(document))
         registry = telemetry.MetricsRegistry()
         with telemetry.use_registry(registry):
             assert spec.lookup() == (False, None)
+            assert spec.lookup() == (False, None)   # later calls miss too
         assert registry.snapshot()["cache.corrupt"]["value"] == 1
         assert (tmp_path / (path.name + ".corrupt")).exists()
-        spec.store(value)
+        spec.store((3, 4))
         cache.clear_memory()
-        hit, loaded = spec.lookup()
-        assert hit and np.array_equal(loaded, value)
+        assert spec.lookup() == (True, (3, 4))
 
     def test_readable_entry_with_foreign_fingerprint_still_raises(
             self, tmp_path):
@@ -300,18 +298,18 @@ class TestResultCache:
         # fingerprint disagrees is refused, not silently replaced.
         cache = ResultCache(cache_dir=str(tmp_path))
         spec = cache.spec("demo", {"n": 8})
-        spec.store(np.arange(3.0))
+        spec.store([0.0, 1.0, 2.0])
         cache.clear_memory()
         other = cache.spec("demo", {"n": 9})
-        os.replace(tmp_path / (spec.key() + ".npz"),
-                   tmp_path / (other.key() + ".npz"))
+        os.replace(tmp_path / (spec.key() + ".json"),
+                   tmp_path / (other.key() + ".json"))
         with pytest.raises(CacheError, match="refusing"):
             other.lookup()
 
     def test_a_miss_probes_at_most_one_path_per_suffix(self, tmp_path,
                                                        monkeypatch):
         # A memory-only miss never touches the filesystem; a disk miss
-        # checks <key>.json and <key>.npz once each.
+        # checks <key>.json once.
         probed = []
         real_exists = os.path.exists
         monkeypatch.setattr(os.path, "exists",
@@ -321,8 +319,7 @@ class TestResultCache:
         assert probed == []
         spec = ResultCache(cache_dir=str(tmp_path)).spec("demo", {})
         assert spec.lookup() == (False, None)
-        assert probed == [os.path.join(str(tmp_path), spec.key() + suffix)
-                          for suffix in (".json", ".npz")]
+        assert probed == [os.path.join(str(tmp_path), spec.key() + ".json")]
 
     def test_every_store_fsyncs_its_entry(self, tmp_path, monkeypatch):
         # Every entry is flushed to disk before it is renamed into place.
@@ -333,7 +330,7 @@ class TestResultCache:
         cache = ResultCache(cache_dir=str(tmp_path))
         spec = cache.spec("demo", {})
         spec.store([1], index=0)
-        spec.store(np.arange(3.0), index=1)
+        spec.store([0.0, 1.0, 2.0], index=1)
         assert len(synced) == 2
 
     def test_telemetry_counters(self, tmp_path):
@@ -367,7 +364,7 @@ class TestDiskBudget:
     @staticmethod
     def _entry_files(tmp_path):
         return sorted(name for name in os.listdir(tmp_path)
-                      if name.endswith((".json", ".npz")))
+                      if name.endswith(".json"))
 
     def test_unbounded_by_default(self, tmp_path):
         cache = ResultCache(cache_dir=str(tmp_path))

@@ -410,7 +410,7 @@ class TestResultStore:
     @staticmethod
     def _entries(directory):
         return sorted(name for name in os.listdir(directory)
-                      if name.endswith((".json", ".npz")))
+                      if name.endswith(".json"))
 
     def test_each_request_stores_exactly_one_entry(self, tmp_path):
         async def body(service):
