@@ -151,32 +151,30 @@ def _first_order(a, modulus, readings):
     return None
 
 
-def find_order(a, modulus, rng=None, max_attempts=10, runner=None,
-               workers=None, timeout=None, retry=None, cache=None):
+def find_order(a, modulus, rng=None, max_attempts=10, workers=None,
+               timeout=None, retry=None, cache=None):
     """Quantum order finding with classical post-processing.
 
-    ``runner(circuit) -> int`` executes the circuit and returns the
-    measured counting-register value; the default samples the library's
-    reference simulator once.  Returns the order ``r`` or ``None`` after
-    ``max_attempts`` failed phase readings.
+    Each attempt samples the library's reference simulator once and
+    post-processes the measured counting-register value.  Returns the
+    order ``r`` or ``None`` after ``max_attempts`` failed phase readings.
 
     A chunked call (``workers > 1``, ``timeout`` or ``retry`` set, see
-    :func:`repro.core.parallel.is_chunked`) without a custom ``runner``
-    runs the attempts concurrently on the parallel engine, one attempt
-    per chunk, each with its own child generator spawned from ``rng``;
-    phase readings are post-processed in attempt order and the first
-    usable order wins, so the result is a deterministic function of the
-    seed alone, whatever the worker count.  ``timeout``/``retry`` bound
-    and re-dispatch individual attempts.  ``cache`` (None / False / path
-    / :class:`~repro.core.cache.ResultCache`) stores each finished phase
+    :func:`repro.core.parallel.is_chunked`) runs the attempts
+    concurrently on the parallel engine, one attempt per chunk, each
+    with its own child generator spawned from ``rng``; phase readings
+    are post-processed in attempt order and the first usable order
+    wins, so the result is a deterministic function of the seed alone,
+    whatever the worker count.  ``timeout``/``retry`` bound and
+    re-dispatch individual attempts.  ``cache`` (None / False / path /
+    :class:`~repro.core.cache.ResultCache`) stores each finished phase
     reading of that branch, content-addressed by ``(a, modulus,
     max_attempts, RNG fingerprint)``, so a killed run re-run against the
     same directory repeats only its missing attempts.  Any other call
     runs the attempts in sequence on one shared generator, stopping at
     the first usable order; that branch is never cached.
     """
-    if runner is None and parallel.is_chunked(workers, timeout=timeout,
-                                              retry=retry):
+    if parallel.is_chunked(workers, timeout=timeout, retry=retry):
         return parallel.run_workload(
             "shor-order", _order_attempt,
             lambda _low, _high, stream: (a, modulus, stream),
@@ -187,23 +185,8 @@ def find_order(a, modulus, rng=None, max_attempts=10, runner=None,
             validate=_reading_is_sane, workers=workers, chunk_size=1,
             timeout=timeout, retry=retry, cache=cache)
     rng = make_rng(rng)
-
-    def default_runner(circuit, t):
-        _state, cbits = circuit.run(rng=rng)
-        value = 0
-        for q in range(t):
-            value |= cbits["c%d" % q] << q
-        return value
-
     for _ in range(max_attempts):
-        telemetry.counter("quantum.shor.order_finding_attempts").inc()
-        with telemetry.span("quantum.shor.order_finding", a=a,
-                            modulus=modulus):
-            circuit, t, _n = order_finding_circuit(a, modulus)
-            if runner is not None:
-                measured = runner(circuit)
-            else:
-                measured = default_runner(circuit, t)
+        measured, t = _order_attempt((a, modulus, rng))
         r = _order_from_measurement(a, modulus, measured, t)
         if r is not None:
             return r
