@@ -69,45 +69,6 @@ def _sanitize_label_value(value):
     return text or OVERFLOW_VALUE
 
 
-def format_metric(base, labels):
-    """Encode ``base`` plus a label dict as a canonical metric name.
-
-    Keys are sorted and values sanitized, so equal label dicts always
-    produce the same name.  Unknown keys raise
-    :class:`TelemetryError`.
-    """
-    if not labels:
-        return base
-    if "{" in base or "}" in base:
-        raise TelemetryError("metric base name %r may not contain braces"
-                             % (base,))
-    for key in labels:
-        if key not in LABEL_KEYS:
-            raise TelemetryError(
-                "unknown label key %r for metric %r (allowed: %s)"
-                % (key, base, ", ".join(LABEL_KEYS)))
-    body = ",".join("%s=%s" % (key, _sanitize_label_value(labels[key]))
-                    for key in sorted(labels))
-    return "%s{%s}" % (base, body)
-
-
-def parse_metric(name):
-    """Split an encoded metric name into ``(base, labels)``.
-
-    The inverse of :func:`format_metric`; unlabeled names return an
-    empty label dict.
-    """
-    if "{" not in name or not name.endswith("}"):
-        return name, {}
-    base, _, body = name.partition("{")
-    labels = {}
-    for pair in body[:-1].split(","):
-        if pair:
-            key, _, value = pair.partition("=")
-            labels[key] = value
-    return base, labels
-
-
 class _NullInstrument:
     """Shared no-op standing in for every instrument when disabled.
 
@@ -359,16 +320,10 @@ class Histogram:
         if count == 0:
             return
         total = float(entry.get("total", 0.0))
-        sum_sq = entry.get("sum_sq")
-        if sum_sq is None:
-            # Pre-merge-era snapshot: reconstruct from mean/std.
-            mean = float(entry.get("mean") or 0.0)
-            std = float(entry.get("std") or 0.0)
-            sum_sq = (std * std + mean * mean) * count
         with self._lock:
             self._count += count
             self._total += total
-            self._sum_sq += float(sum_sq)
+            self._sum_sq += float(entry["sum_sq"])
             if entry.get("min") is not None:
                 self._min = min(self._min, float(entry["min"]))
             if entry.get("max") is not None:
@@ -871,7 +826,6 @@ def render_summary(snapshot, title="telemetry summary"):
 # re-exported here to give instrumentation sites a single import.
 from . import tracing  # noqa: E402
 from .tracing import (  # noqa: E402,F401
-    ConsoleSink,
     JsonlSink,
     ListSink,
     NullSink,

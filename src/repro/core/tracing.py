@@ -13,8 +13,8 @@ Three sinks cover the observability edges:
 
 * :class:`JsonlSink` -- appends one JSON object per line to a file; the
   format behind the CLI's ``--trace out.jsonl``.
-* :class:`ConsoleSink` -- pretty-prints events to a stream (the only
-  place besides the CLI allowed to write to stdout).
+* :class:`ListSink` -- buffers events in memory; parallel workers ship
+  theirs back to the parent process with their results.
 * :class:`NullSink` -- swallows events; useful to keep a registry's
   metric side live while silencing its trace side.
 
@@ -302,33 +302,6 @@ def read_jsonl(path):
     return events
 
 
-class ConsoleSink(TraceSink):
-    """Pretty-prints events, one line each, to a writable stream.
-
-    ``stream`` is required rather than defaulted to ``sys.stdout``: the
-    library never writes to stdout on its own, only the CLI decides to.
-    """
-
-    def __init__(self, stream):
-        self.stream = stream
-
-    def emit(self, event):
-        indent = "  " * int(event.get("depth", 0))
-        if event.get("type") == "span":
-            duration = telemetry.fmt_seconds(event.get("duration_s") or 0.0)
-            line = "%s[span] %s %s" % (indent, event["name"], duration)
-            if event.get("status") != "ok":
-                line += " status=%s" % event["status"]
-        else:
-            line = "%s[event] %s" % (indent, event.get("name", "?"))
-        attrs = event.get("attrs")
-        if attrs:
-            line += "  " + " ".join(
-                "%s=%s" % (key, telemetry.fmt_quantity(attrs[key]))
-                for key in sorted(attrs))
-        self.stream.write(line + "\n")
-
-
 # -- Chrome trace-event export ---------------------------------------------
 
 #: pid used for every exported event (one logical process per trace).
@@ -433,26 +406,3 @@ def read_chrome_trace(path):
     if isinstance(document, list):  # bare-array form
         return document
     return document.get("traceEvents", [])
-
-
-class ChromeTraceSink(TraceSink):
-    """Buffers events and writes a Chrome JSON trace on close.
-
-    Unlike :class:`JsonlSink` (streaming, crash-safe), the Chrome format
-    is one JSON document, so the file materializes at :meth:`close` --
-    use the sink as a context manager or close it explicitly.  The CLI's
-    ``repro profile --out trace.json`` drives one of these.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        self.events = []
-        self.events_written = 0
-
-    def emit(self, event):
-        self.events.append(event)
-
-    def close(self):
-        if self.events or not self.events_written:
-            self.events_written = write_chrome_trace(self.events, self.path)
-            self.events = []

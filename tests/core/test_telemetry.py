@@ -1,6 +1,5 @@
 """Tests for the telemetry substrate (metrics, spans, sinks)."""
 
-import io
 import threading
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from repro.core import telemetry
 from repro.core.exceptions import TelemetryError
 from repro.core.tracing import (
-    ConsoleSink,
     JsonlSink,
     NullSink,
     current_span,
@@ -252,18 +250,6 @@ class TestSinks:
         sink = JsonlSink(str(path))
         sink.close()  # closing an unopened sink is fine
         assert not path.exists()  # no events -> no file
-
-    def test_console_sink_pretty_prints(self, registry):
-        stream = io.StringIO()
-        registry.add_sink(ConsoleSink(stream))
-        with telemetry.span("outer"):
-            with telemetry.span("oscillator.locking.check", locked=True):
-                pass
-        text = stream.getvalue()
-        lines = text.splitlines()
-        assert lines[0].startswith("  [span] oscillator.locking.check")
-        assert "locked=True" in lines[0]
-        assert lines[1].startswith("[span] outer")
 
     def test_multiple_sinks_fan_out(self, registry, tmp_path):
         first = registry.add_sink(JsonlSink(str(tmp_path / "a.jsonl")))

@@ -128,17 +128,6 @@ class TestRegistryMerge:
         with pytest.raises(TelemetryError):
             registry.merge(incoming.snapshot())
 
-    def test_merge_legacy_snapshot_without_sum_sq(self):
-        # Snapshots written before sum_sq existed reconstruct the second
-        # moment from mean/std.
-        registry = MetricsRegistry()
-        entry = {"kind": "histogram", "count": 2, "total": 6.0,
-                 "min": 2.0, "max": 4.0, "mean": 3.0, "std": 1.0}
-        registry.merge({"h": entry})
-        histogram = registry.histogram("h")
-        assert histogram.count == 2
-        assert math.isclose(histogram.std, 1.0)
-
     def test_null_registry_merge_is_noop(self):
         incoming = _registry_with(counters=[("c", 1)])
         result = telemetry.NULL_REGISTRY.merge(incoming.snapshot())

@@ -9,7 +9,6 @@ from repro.core.profiling import ProfileSink
 from repro.core.tracing import (
     CHROME_MAIN_TID,
     CHROME_PID,
-    ChromeTraceSink,
     chrome_trace_events,
     point_event,
     read_chrome_trace,
@@ -151,25 +150,3 @@ class TestWorkerMerge:
 def _traced_square(value):
     with telemetry.span("worker.square"):
         return value * value
-
-
-class TestChromeTraceSink:
-    def test_sink_buffers_and_writes_on_close(self, tmp_path):
-        path = str(tmp_path / "sink.json")
-        registry = telemetry.MetricsRegistry()
-        sink = registry.add_sink(ChromeTraceSink(path))
-        with telemetry.use_registry(registry):
-            with telemetry.span("work"):
-                pass
-        sink.close()
-        assert sink.events_written == 1
-        spans = [e for e in read_chrome_trace(path) if e["ph"] == "X"]
-        assert spans[0]["name"] == "work"
-
-    def test_double_close_is_noop(self, tmp_path):
-        path = str(tmp_path / "sink.json")
-        sink = ChromeTraceSink(path)
-        sink.close()
-        first = sink.events_written
-        sink.close()
-        assert sink.events_written == first

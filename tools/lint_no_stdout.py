@@ -1,14 +1,14 @@
 """Lint: the library must never write to stdout on its own.
 
-Output is a CLI decision (``repro.cli``) or an explicit sink the caller
-constructed with a stream (``tracing.ConsoleSink``); a stray ``print``
-deep in a solver corrupts machine-readable output (DIMACS model lines,
-JSONL traces, piped tables).  The rule extends to the parallel
-execution engine's worker entry points (``core.parallel`` and the
-``_*_chunk``/``_*_attempt`` functions it dispatches): a forked worker
-inherits the parent's file descriptors, so a stray write from a child
-corrupts the parent's stdout just as surely -- and interleaved across
-processes.  This walks ``src/repro`` ASTs and flags
+Output is a CLI decision (``repro.cli``) or a file the caller names
+(``tracing.JsonlSink``); a stray ``print`` deep in a solver corrupts
+machine-readable output (DIMACS model lines, JSONL traces, piped
+tables).  The rule extends to the parallel execution engine's worker
+entry points (``core.parallel`` and the ``_*_chunk``/``_*_attempt``
+functions it dispatches): a forked worker inherits the parent's file
+descriptors, so a stray write from a child corrupts the parent's stdout
+just as surely -- and interleaved across processes.  This walks
+``src/repro`` ASTs and flags
 
 * any ``print(...)`` call,
 * any ``sys.stdout`` / ``sys.stderr`` attribute access, including the
