@@ -76,7 +76,8 @@ Telemetry: ``cache.hits`` / ``cache.misses`` / ``cache.stores`` /
 ``cache.bytes`` (bytes written to disk) / ``cache.evictions`` (LRU
 drops from the memory tier) / ``cache.disk_evictions`` (LRU drops from
 the disk tier when a byte budget is set) / ``cache.corrupt`` (unreadable
-entries quarantined), plus the spans ``cache.fingerprint`` (building a
+entries quarantined) / ``cache.store_errors`` (disk writes that failed;
+the entry stays in memory), plus the spans ``cache.fingerprint`` (building a
 workload's fingerprint), ``cache.lookup`` (its ``tier`` attribute says
 which tier answered: ``memory``, ``disk``, or ``miss``) and
 ``cache.store``.  Enable a cache process-wide with the
@@ -417,39 +418,54 @@ class ResultCache:
         """Record ``value`` under ``key`` in both tiers.
 
         The disk entry is the ``encode``-d value (default identity) in a
-        JSON document alongside its fingerprint document.
+        JSON document alongside its fingerprint document.  A value that
+        document cannot hold raises :class:`CacheError` and is stored in
+        neither tier; a disk write that fails with ``OSError`` keeps the
+        memory entry and counts ``cache.store_errors``.
         """
         with telemetry.span("cache.store"):
             self._store(key, doc, value, encode)
 
     def _store(self, key, doc, value, encode):
         registry = telemetry.get_registry()
+        path = self._path(key)
+        if path is not None:
+            # Encode before touching either tier, so a value the codec
+            # cannot encode leaves no memory entry behind.
+            encoded = value if encode is None else encode(value)
+            document = {"format": CACHE_FORMAT, "key": key,
+                        "fingerprint": jsonable(doc), "value": encoded}
+            try:
+                payload = json.dumps(document)
+            except (TypeError, ValueError) as error:
+                raise CacheError(
+                    "cache value for kind %r is not JSON-able (%s); pass "
+                    "an encode hook" % (doc.get("kind"), error))
         self._remember(key, copy.deepcopy(value))
         self.stores += 1
         if registry.enabled:
             registry.counter("cache.stores").inc()
-        path = self._path(key)
         if path is None:
             return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        encoded = value if encode is None else encode(value)
-        document = {"format": CACHE_FORMAT, "key": key,
-                    "fingerprint": jsonable(doc), "value": encoded}
-        try:
-            payload = json.dumps(document)
-        except (TypeError, ValueError) as error:
-            raise CacheError(
-                "cache value for kind %r is not JSON-able (%s); pass "
-                "an encode hook" % (doc.get("kind"), error))
         # Scratch names carry the writer's pid: two processes storing
         # the same key concurrently must not share a scratch file, or
         # the slower one's rename races the faster one's commit.
         scratch = "%s.%d.tmp" % (path, os.getpid())
-        with open(scratch, "w") as handle:
-            handle.write(payload)
-            handle.write("\n")
-            _sync(handle)
-        os.replace(scratch, path)
+        try:
+            os.makedirs(self.cache_dir, exist_ok=True)
+            with open(scratch, "w") as handle:
+                handle.write(payload)
+                handle.write("\n")
+                _sync(handle)
+            os.replace(scratch, path)
+        except OSError:
+            # A disk that cannot take the entry degrades the store to
+            # the memory tier; the answer itself is already computed.
+            with contextlib.suppress(OSError):
+                os.remove(scratch)
+            if registry.enabled:
+                registry.counter("cache.store_errors").inc()
+            return
         written = len(payload) + 1
         if registry.enabled:
             registry.counter("cache.bytes").inc(written)

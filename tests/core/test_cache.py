@@ -46,6 +46,7 @@ from repro.core.cache import (
 from repro.core.exceptions import CacheError
 from repro.core.parallel import ParallelMap
 from repro.core.sat_instances import planted_ksat
+from repro.oscillators.distance import OscillatorDistanceUnit
 
 
 def _square(x):
@@ -222,6 +223,36 @@ class TestResultCache:
             spec.store(object())
         with pytest.raises(CacheError, match="encode hook"):
             spec.store(np.arange(3.0))
+        # A refused store leaves neither tier holding the value.
+        assert spec.lookup() == (False, None)
+        assert cache.stores == 0
+
+    def test_unwritable_directory_degrades_to_the_memory_tier(
+            self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cache = ResultCache(cache_dir=str(blocker / "store"))
+        pairs = [[1.0, 2.0], [30.0, 50.0]]
+        unit = OscillatorDistanceUnit()
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            measures = unit.measure_pairs(pairs, cache=cache)
+        assert np.array_equal(measures,
+                              unit.measure_pairs(pairs, cache=False))
+        assert registry.snapshot()["cache.store_errors"]["value"] == 1
+        assert cache.stores == 1
+
+    def test_failed_commit_removes_its_scratch_file(self, tmp_path):
+        cache = ResultCache(cache_dir=str(tmp_path))
+        spec = cache.spec("demo", {"n": 6})
+        os.mkdir(os.path.join(str(tmp_path), spec.key() + ".json"))
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            spec.store([1, 2])
+        assert registry.snapshot()["cache.store_errors"]["value"] == 1
+        assert not [name for name in os.listdir(tmp_path)
+                    if name.endswith(".tmp")]
+        assert spec.lookup() == (True, [1, 2])
 
     def test_mismatched_fingerprint_refuses_with_path_and_both(
             self, tmp_path):

@@ -453,3 +453,28 @@ class TestResultStore:
         third = run_service_test(
             submit, cache=ResultCache(cache_dir=str(tmp_path)))
         assert third.cached and third.result == again.result
+
+    def test_unwritable_store_settles_and_keeps_dispatchers(self,
+                                                           tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        params = {"pairs": [[1.0, 2.0], [30.0, 50.0]]}
+        expected = OscillatorDistanceUnit().measure_pairs(params["pairs"])
+
+        async def body(service):
+            first = service.submit("distance", params)
+            await asyncio.wait_for(first.future, timeout=10)
+            alive = [not task.done() for task in service._dispatchers]
+            second = service.submit("distance", params)
+            await asyncio.wait_for(second.future, timeout=10)
+            return first, second, alive
+
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            first, second, alive = run_service_test(
+                body, cache=ResultCache(cache_dir=str(blocker / "store")))
+        assert first.state == DONE
+        assert first.result["measures"] == expected
+        assert alive and all(alive)
+        assert second.state == DONE and second.result == first.result
+        assert registry.snapshot()["cache.store_errors"]["value"] >= 1
