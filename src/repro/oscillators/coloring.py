@@ -131,11 +131,11 @@ def color_graph(edges, num_vertices, num_colors, r_c=35e3, c_c=DEFAULT_C_C,
 
     # quantize phases into color bins after rotating so bin edges do not
     # split the tightest cluster: sort phases, cut at the largest gaps
-    order = np.argsort(phases)
+    order = np.argsort(phases, kind="stable")
     sorted_phases = phases[order]
     gaps = np.diff(np.concatenate([sorted_phases,
                                    [sorted_phases[0] + 1.0]]))
-    cut_positions = np.sort(np.argsort(gaps)[-num_colors:])
+    cut_positions = np.sort(np.argsort(gaps, kind="stable")[-num_colors:])
     colors = np.zeros(num_vertices, dtype=int)
     color = 0
     for rank, vertex in enumerate(order):

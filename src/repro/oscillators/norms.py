@@ -60,7 +60,7 @@ def fit_norm_exponent(delta_v_gs_values, measures, min_delta_measure=1e-3):
         raise OscillatorError("deltas/measures length mismatch")
     if len(deltas) < 4:
         raise OscillatorError("need at least four sweep points")
-    order = np.argsort(deltas)
+    order = np.argsort(deltas, kind="stable")
     deltas = deltas[order]
     measures = measures[order]
     # locate the minimum within the small-delta half of the sweep

@@ -41,6 +41,24 @@ class TestFitNormExponent:
         with pytest.raises(OscillatorError):
             fit_norm_exponent([0.0, 0.1], [0.0])
 
+    def test_symmetric_sweep_fit_is_independent_of_tie_order(self):
+        """+d and -d tie on |d|.  numpy's default sort may reorder ties
+        in arrays of 8 or more (its SIMD kernels do), so the fit must
+        use a stable sort: presorting the points stably changes nothing.
+        """
+        rng = np.random.default_rng(7)
+        half = np.array([0.005, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.08])
+        deltas = np.concatenate([-half[::-1], [0.0], half])
+        for _ in range(20):
+            measures = analytic_norm_curve(deltas, 2.0, scale=50.0,
+                                           baseline=0.1)
+            measures = measures * (1.0 + rng.normal(0, 0.05,
+                                                    measures.shape))
+            order = rng.permutation(len(deltas))
+            d, m = deltas[order], measures[order]
+            s = np.argsort(np.abs(d), kind="stable")
+            assert fit_norm_exponent(d, m) == fit_norm_exponent(d[s], m[s])
+
 
 class TestAnalyticCurve:
     def test_baseline_and_scale(self):
