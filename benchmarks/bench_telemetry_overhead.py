@@ -152,11 +152,7 @@ def test_telemetry_disabled_overhead(benchmark):
                "Contract (docs/observability.md): the disabled path "
                "stays below %.0f%% overhead; the enabled path (live "
                "registry, no sinks) below %.0f%%."
-               % (100 * OVERHEAD_BUDGET, 100 * ENABLED_OVERHEAD_BUDGET),
-               "Labeled series (telemetry labels, PR 9) ride the same "
-               "accessor path: with the NULL registry active a "
-               "labels= call site is the identical no-op, so the "
-               "disabled-path budget covers labeled call sites too."],
+               % (100 * OVERHEAD_BUDGET, 100 * ENABLED_OVERHEAD_BUDGET)],
         metrics={
             "reference_s": best["reference"],
             "disabled_s": best["disabled"],

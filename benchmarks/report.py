@@ -38,9 +38,9 @@ ORDER = [
 
 def _serving_latency_lines(results_dir):
     """A p50/p95/p99 serving-latency table, when the serve benchmark
-    ran (the quantiles come from the ``serve.latency_seconds``
-    streaming histogram; ``serve_p95_ms`` is the hard-pinned budget in
-    ``baseline.json``).
+    ran (exact nearest-rank quantiles of the burst's per-job
+    submit-to-settle latency; ``serve_p95_ms`` is the hard-pinned
+    budget in ``baseline.json``).
     """
     path = os.path.join(results_dir, "serve_throughput.json")
     if not os.path.exists(path):
@@ -59,9 +59,10 @@ def _serving_latency_lines(results_dir):
     ] + ["| %s | %.2f |" % (label, value)
          for label, value in quantiles] + [
         "",
-        "Streaming quantiles of `serve.latency_seconds` over the "
-        "`serve_throughput` burst; `serve_p95_ms` is a hard `max` "
-        "budget in `baseline.json` (see `docs/observability.md`).",
+        "Nearest-rank quantiles of the per-job submit-to-settle "
+        "latency over the `serve_throughput` burst; `serve_p95_ms` is "
+        "a hard `max` budget in `baseline.json` (see "
+        "`docs/observability.md`).",
         "",
     ]
 

@@ -24,15 +24,6 @@ Metric names follow ``paradigm.component.metric`` (for example
 ``dmm.solver.steps``, ``quantum.runtime.shots``,
 ``oscillator.distance.evals``, ``inmemory.crossbar.macs``); see
 ``docs/observability.md`` for the full scheme.
-
-Instruments optionally carry **labels** drawn from the bounded key set
-:data:`LABEL_KEYS`.  A labeled series materializes as a distinct metric
-named ``base{key=value,...}`` (keys sorted, values sanitized), so the
-snapshot/merge algebra below needs no label awareness at all -- labeled
-series merge exactly like any other metric.  Distinct label sets per
-base name are capped at :data:`MAX_LABEL_SETS` per registry; once the
-cap is hit, new combinations fold deterministically into the
-all-``other`` overflow series (see ``docs/observability.md``).
 """
 
 import contextlib
@@ -40,33 +31,6 @@ import math
 import threading
 
 from .exceptions import TelemetryError
-
-
-# -- labels ----------------------------------------------------------------
-
-#: The only label keys instruments accept; anything else raises
-#: :class:`TelemetryError`.  Keeping the key space closed is what keeps
-#: label cardinality analyzable.
-LABEL_KEYS = ("kind", "outcome", "paradigm", "tenant")
-
-#: Distinct label-value combinations allowed per base metric name per
-#: registry before new combinations collapse into the overflow series.
-MAX_LABEL_SETS = 64
-
-#: Label value every overflowed (or empty/sanitized-away) combination
-#: maps to.
-OVERFLOW_VALUE = "other"
-
-_LABEL_VALUE_MAX = 48
-_LABEL_CACHE_MAX = 4096
-
-
-def _sanitize_label_value(value):
-    """Canonical form of one label value."""
-    text = str(value)[:_LABEL_VALUE_MAX]
-    text = "".join(ch if (ch.isalnum() or ch in "._-:") else "_"
-                   for ch in text)
-    return text or OVERFLOW_VALUE
 
 
 class _NullInstrument:
@@ -176,34 +140,16 @@ class Gauge:
         return "Gauge(%s=%s)" % (self.name, self._value)
 
 
-#: Relative-accuracy parameter of the histogram's log-spaced quantile
-#: buckets (DDSketch-style): streaming quantiles are exact in rank and
-#: within ~1% in value.
-QUANTILE_ALPHA = 0.01
-
-_GAMMA = (1.0 + QUANTILE_ALPHA) / (1.0 - QUANTILE_ALPHA)
-_LOG_GAMMA = math.log(_GAMMA)
-
-
-def _bucket_midpoint(index):
-    """Representative value of log bucket ``index`` (relative midpoint)."""
-    return 2.0 * _GAMMA ** index / (_GAMMA + 1.0)
-
-
 class Histogram:
-    """Streaming summary of observed values: count/sum/min/max/mean/std,
-    plus log-spaced bucket counts for mergeable p50/p95/p99 quantiles.
+    """Streaming summary of observed values: count/sum/min/max/mean/std.
 
-    Moment accumulators are constant-memory; the quantile buckets grow
-    with the *dynamic range* of the observations (one int per occupied
-    log bucket), not with their count, so the instrument stays safe on
-    per-step and per-comparison hot paths.  Bucket counts add exactly
-    under merging, so quantiles computed from a merged snapshot are
-    identical to quantiles computed serially.
+    The moment accumulators are constant-memory, so the instrument stays
+    safe on per-step and per-comparison hot paths, and they add exactly
+    under merging.
     """
 
     __slots__ = ("name", "_count", "_total", "_sum_sq", "_min", "_max",
-                 "_zeros", "_buckets", "_neg_buckets", "_lock")
+                 "_lock")
 
     kind = "histogram"
 
@@ -214,9 +160,6 @@ class Histogram:
         self._sum_sq = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._zeros = 0
-        self._buckets = {}
-        self._neg_buckets = {}
         self._lock = threading.Lock()
 
     def __bool__(self):
@@ -233,17 +176,6 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
-            if value > 0.0:
-                if value < math.inf:
-                    index = math.ceil(math.log(value) / _LOG_GAMMA)
-                    self._buckets[index] = self._buckets.get(index, 0) + 1
-            elif value < 0.0:
-                if value > -math.inf:
-                    index = math.ceil(math.log(-value) / _LOG_GAMMA)
-                    self._neg_buckets[index] = (
-                        self._neg_buckets.get(index, 0) + 1)
-            elif value == 0.0:
-                self._zeros += 1
 
     @property
     def count(self):
@@ -274,17 +206,8 @@ class Histogram:
         variance = max(0.0, self._sum_sq / self._count - mean * mean)
         return math.sqrt(variance)
 
-    def quantile(self, q):
-        """Streaming quantile estimate (``None`` before any observation)."""
-        return histogram_quantile(self.snapshot(), q)
-
     def snapshot(self):
-        """JSON-friendly state dict (``sum_sq`` makes snapshots mergeable).
-
-        Bucket keys are strings so a snapshot is identical before and
-        after a JSON round-trip; ``p50``/``p95``/``p99`` are the
-        streaming quantiles of :func:`histogram_quantile`.
-        """
+        """JSON-friendly state dict (``sum_sq`` makes snapshots mergeable)."""
         with self._lock:
             data = {
                 "kind": self.kind,
@@ -295,18 +218,11 @@ class Histogram:
                 "max": self._max if self._count else None,
                 "mean": self._total / self._count if self._count else None,
                 "std": None,
-                "zeros": self._zeros,
-                "buckets": {str(index): count for index, count
-                            in sorted(self._buckets.items())},
-                "neg_buckets": {str(index): count for index, count
-                                in sorted(self._neg_buckets.items())},
             }
             if self._count:
                 variance = max(0.0, self._sum_sq / self._count
                                - data["mean"] * data["mean"])
                 data["std"] = math.sqrt(variance)
-        for key, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
-            data[key] = histogram_quantile(data, q)
         return data
 
     def merge_snapshot(self, entry):
@@ -328,14 +244,6 @@ class Histogram:
                 self._min = min(self._min, float(entry["min"]))
             if entry.get("max") is not None:
                 self._max = max(self._max, float(entry["max"]))
-            self._zeros += int(entry.get("zeros") or 0)
-            for raw, n in (entry.get("buckets") or {}).items():
-                index = int(raw)
-                self._buckets[index] = self._buckets.get(index, 0) + int(n)
-            for raw, n in (entry.get("neg_buckets") or {}).items():
-                index = int(raw)
-                self._neg_buckets[index] = (
-                    self._neg_buckets.get(index, 0) + int(n))
 
     def __repr__(self):
         return "Histogram(%s, count=%d, mean=%s)" % (
@@ -357,13 +265,10 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(self, sinks=None, max_label_sets=MAX_LABEL_SETS):
+    def __init__(self, sinks=None):
         self._metrics = {}
         self._lock = threading.Lock()
         self._sinks = list(sinks) if sinks else []
-        self.max_label_sets = max_label_sets
-        self._label_sets = {}   # base name -> set of canonical combos
-        self._label_cache = {}  # (base, raw combo) -> encoded name
 
     # -- instruments ------------------------------------------------------
 
@@ -381,60 +286,16 @@ class MetricsRegistry:
                 % (name, instrument.kind, kind))
         return instrument
 
-    def _labeled_name(self, base, labels):
-        """Encoded series name for ``base`` + ``labels``, cap applied.
-
-        The cap counts *distinct sanitized combinations* per base name
-        in arrival order; a combination past the cap maps every value
-        to :data:`OVERFLOW_VALUE`, so a given stream of label sets
-        always lands in the same series regardless of how it is split
-        across registries or workers (as long as distinct combinations
-        stay within the cap, the mapping is the identity).
-        """
-        cache_key = (base, tuple(sorted(labels.items())))
-        encoded = self._label_cache.get(cache_key)  # lock-free fast path
-        if encoded is not None:
-            return encoded
-        if "{" in base or "}" in base:
-            raise TelemetryError(
-                "metric base name %r may not contain braces" % (base,))
-        canonical = []
-        for key in sorted(labels):
-            if key not in LABEL_KEYS:
-                raise TelemetryError(
-                    "unknown label key %r for metric %r (allowed: %s)"
-                    % (key, base, ", ".join(LABEL_KEYS)))
-            canonical.append((key, _sanitize_label_value(labels[key])))
-        combo = tuple(canonical)
-        with self._lock:
-            seen = self._label_sets.setdefault(base, set())
-            if combo not in seen:
-                if len(seen) >= self.max_label_sets:
-                    combo = tuple((key, OVERFLOW_VALUE)
-                                  for key, _value in canonical)
-                seen.add(combo)
-        encoded = "%s{%s}" % (base, ",".join("%s=%s" % pair
-                                             for pair in combo))
-        if len(self._label_cache) < _LABEL_CACHE_MAX:
-            self._label_cache[cache_key] = encoded
-        return encoded
-
-    def counter(self, name, labels=None):
-        """Get or create the counter ``name`` (optionally labeled)."""
-        if labels:
-            name = self._labeled_name(name, labels)
+    def counter(self, name):
+        """Get or create the counter ``name``."""
         return self._get_or_create(name, "counter")
 
-    def gauge(self, name, labels=None):
-        """Get or create the gauge ``name`` (optionally labeled)."""
-        if labels:
-            name = self._labeled_name(name, labels)
+    def gauge(self, name):
+        """Get or create the gauge ``name``."""
         return self._get_or_create(name, "gauge")
 
-    def histogram(self, name, labels=None):
-        """Get or create the histogram ``name`` (optionally labeled)."""
-        if labels:
-            name = self._labeled_name(name, labels)
+    def histogram(self, name):
+        """Get or create the histogram ``name``."""
         return self._get_or_create(name, "histogram")
 
     def __contains__(self, name):
@@ -468,11 +329,9 @@ class MetricsRegistry:
         return {name: instrument.snapshot() for name, instrument in items}
 
     def reset(self):
-        """Drop every instrument and label bookkeeping (sinks are kept)."""
+        """Drop every instrument (sinks are kept)."""
         with self._lock:
             self._metrics.clear()
-            self._label_sets.clear()
-            self._label_cache.clear()
 
     def merge(self, snapshot):
         """Fold a registry snapshot into this registry's live instruments.
@@ -514,13 +373,13 @@ class _NullRegistry:
     def __bool__(self):
         return False
 
-    def counter(self, name, labels=None):
+    def counter(self, name):
         return NULL_INSTRUMENT
 
-    def gauge(self, name, labels=None):
+    def gauge(self, name):
         return NULL_INSTRUMENT
 
-    def histogram(self, name, labels=None):
+    def histogram(self, name):
         return NULL_INSTRUMENT
 
     def emit(self, event):
@@ -596,19 +455,19 @@ def enabled():
     return _active_registry.enabled
 
 
-def counter(name, labels=None):
+def counter(name):
     """Counter ``name`` on the active registry (no-op when disabled)."""
-    return _active_registry.counter(name, labels)
+    return _active_registry.counter(name)
 
 
-def gauge(name, labels=None):
+def gauge(name):
     """Gauge ``name`` on the active registry (no-op when disabled)."""
-    return _active_registry.gauge(name, labels)
+    return _active_registry.gauge(name)
 
 
-def histogram(name, labels=None):
+def histogram(name):
     """Histogram ``name`` on the active registry (no-op when disabled)."""
-    return _active_registry.histogram(name, labels)
+    return _active_registry.histogram(name)
 
 
 def event(name, **attrs):
@@ -616,54 +475,6 @@ def event(name, **attrs):
     registry = _active_registry
     if registry.enabled:
         registry.emit(tracing.point_event(name, attrs))
-
-
-# -- quantiles -------------------------------------------------------------
-
-def histogram_quantile(entry, q):
-    """Quantile estimate from a histogram snapshot entry.
-
-    Nearest-rank walk over the log-spaced bucket counts recorded by
-    :class:`Histogram`: exact in rank, within :data:`QUANTILE_ALPHA`
-    relative error in value (clamped to the observed min/max), and --
-    because bucket counts add exactly under merging -- identical
-    whether computed on a serial snapshot or on the merge of per-worker
-    snapshots.  Returns ``None`` for empty or pre-quantile entries.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise TelemetryError("quantile must be in [0, 1], got %r" % (q,))
-    zeros = int(entry.get("zeros") or 0)
-    pos = sorted((int(index), int(n))
-                 for index, n in (entry.get("buckets") or {}).items())
-    neg = sorted(((int(index), int(n))
-                  for index, n in (entry.get("neg_buckets") or {}).items()),
-                 reverse=True)
-    total = zeros + sum(n for _i, n in pos) + sum(n for _i, n in neg)
-    if total == 0:
-        return None
-
-    def clamp(value):
-        low, high = entry.get("min"), entry.get("max")
-        if low is not None and value < low:
-            return float(low)
-        if high is not None and value > high:
-            return float(high)
-        return float(value)
-
-    rank = max(1, math.ceil(q * total))
-    seen = 0
-    for index, n in neg:  # descending index == ascending value
-        seen += n
-        if seen >= rank:
-            return clamp(-_bucket_midpoint(index))
-    seen += zeros
-    if zeros and seen >= rank:
-        return clamp(0.0)
-    for index, n in pos:
-        seen += n
-        if seen >= rank:
-            return clamp(_bucket_midpoint(index))
-    return clamp(_bucket_midpoint(pos[-1][0])) if pos else clamp(0.0)
 
 
 # -- snapshot merging ------------------------------------------------------
@@ -681,15 +492,7 @@ def _merge_histogram_entries(a, b):
         std = math.sqrt(variance)
     else:
         std = None
-    buckets = {}
-    neg_buckets = {}
-    for entry, target in ((a, buckets), (b, buckets),
-                          (a, neg_buckets), (b, neg_buckets)):
-        key = "buckets" if target is buckets else "neg_buckets"
-        for raw, n in (entry.get(key) or {}).items():
-            index = int(raw)
-            target[index] = target.get(index, 0) + int(n)
-    merged = {
+    return {
         "kind": "histogram",
         "count": count,
         "total": total,
@@ -698,14 +501,7 @@ def _merge_histogram_entries(a, b):
         "max": max(maxs) if maxs else None,
         "mean": mean,
         "std": std,
-        "zeros": int(a.get("zeros") or 0) + int(b.get("zeros") or 0),
-        "buckets": {str(index): n for index, n in sorted(buckets.items())},
-        "neg_buckets": {str(index): n for index, n
-                        in sorted(neg_buckets.items())},
     }
-    for key, q in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
-        merged[key] = histogram_quantile(merged, q)
-    return merged
 
 
 def merge_snapshots(a, b):

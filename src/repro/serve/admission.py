@@ -58,7 +58,6 @@ class AdmissionQueue:
         self._heap = []         # (priority, seq, job)
         self._seq = 0
         self._active = {}       # tenant -> jobs queued or running
-        self._depths = {}       # (tenant, kind) -> queued jobs
         self._wakeup = asyncio.Event()
 
     # -- admission ---------------------------------------------------------
@@ -90,7 +89,6 @@ class AdmissionQueue:
         self._seq += 1
         heapq.heappush(self._heap, (job.priority, self._seq, job))
         self._active[job.tenant] = self.active_for(job.tenant) + 1
-        self._adjust_depth(job, 1)
         self._record_depth()
         self._wakeup.set()
 
@@ -109,7 +107,6 @@ class AdmissionQueue:
         while True:
             if self._heap:
                 _priority, _seq, job = heapq.heappop(self._heap)
-                self._adjust_depth(job, -1)
                 self._record_depth()
                 return job
             self._wakeup.clear()
@@ -131,25 +128,8 @@ class AdmissionQueue:
         if taken:
             heapq.heapify(kept)
             self._heap = kept
-            for job in taken:
-                self._adjust_depth(job, -1)
             self._record_depth()
         return taken
-
-    def _adjust_depth(self, job, delta):
-        """Track and expose the queued depth of ``job``'s tenant/kind."""
-        key = (job.tenant, job.kind)
-        count = self._depths.get(key, 0) + delta
-        if count > 0:
-            self._depths[key] = count
-        else:
-            self._depths.pop(key, None)
-            count = max(0, count)
-        registry = telemetry.get_registry()
-        if registry.enabled:
-            registry.gauge("serve.queue_depth",
-                           labels={"tenant": job.tenant,
-                                   "kind": job.kind}).set(count)
 
     def _record_depth(self):
         registry = telemetry.get_registry()

@@ -67,7 +67,8 @@ MAX_STEPS = 5_000_000
 KINDS = ("solve", "factor", "distance", "detect")
 
 #: Distinct tenants tracked individually in /v1/stats before new ones
-#: fold into the "other" bucket (mirrors telemetry.MAX_LABEL_SETS).
+#: fold into the "other" bucket, so a caller inventing tenant names
+#: cannot grow the stats without bound.
 MAX_STAT_TENANTS = 64
 
 
@@ -358,9 +359,8 @@ class JobService:
         self.executions = 0
         self.completed = 0
         self.failed = 0
-        # Per-tenant mirrors for /v1/stats, bounded like the label
-        # cardinality cap: past MAX_STAT_TENANTS distinct tenants, new
-        # ones fold into the "other" bucket.
+        # Per-tenant mirrors for /v1/stats: past MAX_STAT_TENANTS
+        # distinct tenants, new ones fold into the "other" bucket.
         self.tenant_stats = {}
         self._dispatchers = []
         self._executor = None
@@ -430,13 +430,11 @@ class JobService:
         if trace_id is None:
             trace_id = tracing.new_trace_id()
         registry = telemetry.get_registry()
-        labels = {"tenant": tenant, "kind": kind}
         self.requests += 1
         self._tenant_bucket(tenant)["requests"] += 1
         if registry.enabled:
             registry.counter("serve.requests").inc()
             registry.counter("serve.requests.%s" % kind).inc()
-            registry.counter("serve.requests", labels=labels).inc()
         with tracing.use_trace(trace_id), \
                 telemetry.span("cache.fingerprint", kind="serve.%s" % kind):
             doc = result_cache.fingerprint("serve.%s" % kind,
@@ -458,7 +456,6 @@ class JobService:
                 self._tenant_bucket(tenant)["coalesced"] += 1
                 if registry.enabled:
                     registry.counter("serve.coalesced").inc()
-                    registry.counter("serve.coalesced", labels=labels).inc()
                     telemetry.event("serve.coalesce", job=job.id,
                                     primary=primary.id,
                                     primary_trace=primary.trace_id)
@@ -474,8 +471,6 @@ class JobService:
                     self._tenant_bucket(tenant)["cache_hits"] += 1
                     if registry.enabled:
                         registry.counter("serve.cache_hits").inc()
-                        registry.counter("serve.cache_hits",
-                                         labels=labels).inc()
                     self._settle(job, DONE, result=value)
                     self.table.prune()
                     if admission:
@@ -513,11 +508,6 @@ class JobService:
                     # keep their own id but record whose ride they took.
                     rider.joined_trace = lead.trace_id
                     self._tenant_bucket(rider.tenant)["batched"] += 1
-                    if registry.enabled:
-                        registry.counter(
-                            "serve.batched",
-                            labels={"tenant": rider.tenant,
-                                    "kind": rider.kind}).inc()
             for job in batch:
                 job.state = RUNNING
                 job.started_at = time.monotonic()
@@ -525,9 +515,6 @@ class JobService:
             self._tenant_bucket(lead.tenant)["executions"] += 1
             if registry.enabled:
                 registry.counter("serve.executions").inc()
-                registry.counter("serve.executions",
-                                 labels={"tenant": lead.tenant,
-                                         "kind": lead.kind}).inc()
             dispatch_start = (time.time(), time.perf_counter())
             status = "ok"
             try:
@@ -623,9 +610,6 @@ class JobService:
             registry.histogram("serve.latency_seconds").observe(latency)
             registry.histogram(
                 "serve.latency.%s" % job.kind).observe(latency)
-            registry.histogram("serve.latency_seconds",
-                               labels={"tenant": job.tenant,
-                                       "kind": job.kind}).observe(latency)
         if job.future is not None and not job.future.done():
             job.future.set_result(job)
 

@@ -3,16 +3,33 @@
 Worker-local registries are merged into the parent's at join; these
 tests pin the algebra down: counter and histogram merging is associative
 and commutative on snapshots, histograms combine their moment
-accumulators exactly, and kind clashes fail loudly.
+accumulators exactly, any split of a run merges back to the serial
+snapshot, and kind clashes fail loudly.
 """
 
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import telemetry
 from repro.core.exceptions import TelemetryError
+from repro.core.parallel import ParallelMap, shutdown_pools
 from repro.core.telemetry import MetricsRegistry, merge_snapshots
+
+
+# -- module-level worker entry point (must pickle) --------------------------
+
+def _tenant_work(task):
+    """Worker body: a per-tenant counter and latency histogram."""
+    tenant, values = task
+    telemetry.counter("test.merge.requests.%s" % tenant).inc()
+    hist = telemetry.histogram("test.merge.latency.%s" % tenant)
+    for value in values:
+        hist.observe(value)
+    return len(values)
 
 
 def _registry_with(counters=(), observations=(), gauges=()):
@@ -138,3 +155,90 @@ class TestRegistryMerge:
         registry = _registry_with(observations=[("h", [2.0, 3.0])])
         entry = registry.snapshot()["h"]
         assert entry["sum_sq"] == 13.0
+
+    def test_json_round_trip_stable(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("h")
+        for value in (0.5, -2.0, 0.0, 3.25):
+            hist.observe(value)
+        snapshot = registry.snapshot()
+        assert json.loads(json.dumps(snapshot)) == snapshot
+
+
+def _apply(registry, operations):
+    for tenant, kind, values in operations:
+        registry.counter("prop.count.%s.%s" % (tenant, kind)).inc(
+            len(values))
+        hist = registry.histogram("prop.lat.%s.%s" % (tenant, kind))
+        for value in values:
+            hist.observe(value)
+
+
+# Observation values are dyadic rationals (k/1024), so float addition
+# of any subset is exact in a double: the serial and the split-merged
+# registries accumulate total/sum_sq in different orders, and only
+# order-independent sums make "bit-exact" a fair property.  (Counts,
+# min and max are order-independent for any float.)
+_VALUES = st.integers(min_value=1, max_value=2 ** 20).map(
+    lambda n: n / 1024.0)
+
+_OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "dee", "spill-1", "spill-2"]),
+        st.sampled_from(["solve", "distance"]),
+        st.lists(_VALUES, max_size=8),
+    ),
+    max_size=24,
+)
+
+
+class TestMergeExactness:
+    @given(operations=_OPERATIONS, chunks=st.integers(2, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_split_is_bit_exact(self, operations, chunks):
+        """Split the op stream across N worker-local registries, merge
+        the snapshots, and every moment -- count, total, sum_sq, min,
+        max -- equals the serial registry's.
+        """
+        serial = MetricsRegistry()
+        _apply(serial, operations)
+        merged = {}
+        for start in range(chunks):
+            worker = MetricsRegistry()
+            _apply(worker, operations[start::chunks])
+            merged = merge_snapshots(merged, worker.snapshot())
+        assert merged == serial.snapshot()
+
+
+class TestWorkerIntegration:
+    """The same per-tenant workload through real ParallelMap pools."""
+
+    # dyadic values: totals are exact under any summation order, so
+    # the pooled merge can be compared bit-for-bit against serial
+    TASKS = [("acme", [0.25, 0.5, 0.75]),
+             ("bob", [0.5]),
+             ("acme", [1.0, 1.25]),
+             ("carol", [1.0, 2.0, 4.0])]
+
+    def _run(self, workers):
+        shutdown_pools()
+        registry = MetricsRegistry()
+        with telemetry.use_registry(registry):
+            results = ParallelMap(workers=workers).map(_tenant_work,
+                                                       self.TASKS)
+        assert results == [3, 1, 2, 3]
+        snapshot = registry.snapshot()
+        # keep only this test's series: the pool adds its own
+        # parallel.* bookkeeping that varies with the worker count
+        return {name: entry for name, entry in snapshot.items()
+                if name.startswith("test.merge.")}
+
+    @pytest.mark.parametrize("workers", [2, "auto"])
+    def test_pool_merge_matches_serial(self, workers):
+        serial = self._run(1)
+        pooled = self._run(workers)
+        assert pooled == serial
+        latency = serial["test.merge.latency.acme"]
+        assert latency["count"] == 5
+        assert math.isclose(latency["total"], 3.75)
+        assert serial["test.merge.requests.acme"]["value"] == 2

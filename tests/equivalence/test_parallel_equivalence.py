@@ -36,8 +36,6 @@ def _square(x):
 
 def _square_instrumented(x):
     telemetry.counter("test.equivalence.calls").inc()
-    telemetry.counter("test.equivalence.calls",
-                      labels={"kind": "square"}).inc()
     telemetry.histogram("test.equivalence.values").observe(float(x))
     return x * x
 

@@ -1,8 +1,7 @@
-"""Observability of the serving stack (PR 9): end-to-end trace
-propagation and labeled serving metrics -- and the acceptance criterion
-that one HTTP request produces a single Chrome trace whose HTTP /
-admission / dispatch / worker-chunk spans all share the request's
-``trace_id``.
+"""Observability of the serving stack: end-to-end trace propagation
+and the serving metrics -- and the acceptance criterion that one HTTP
+request produces a single Chrome trace whose HTTP / admission /
+dispatch / worker-chunk spans all share the request's ``trace_id``.
 """
 
 import asyncio
@@ -157,7 +156,11 @@ class TestTraceContinuity:
 
 
 class TestLabeledServeMetrics:
-    def test_labeled_series_alongside_legacy(self):
+    def test_series_are_sliced_by_name_only(self):
+        """Per-kind series are plain names; per-tenant counts live in
+        ``/v1/stats``.  No series carries a label set, and a histogram
+        entry holds exactly its moments.
+        """
         with _live_registry() as (registry, _sink):
             async def body():
                 async with running_app(workers=1) as app:
@@ -171,12 +174,13 @@ class TestLabeledServeMetrics:
             asyncio.run(body())
             snapshot = registry.snapshot()
         assert snapshot["serve.requests"]["value"] == 2
-        assert snapshot[
-            "serve.requests{kind=distance,tenant=acme}"]["value"] == 2
-        labeled_latency = snapshot[
-            "serve.latency_seconds{kind=distance,tenant=acme}"]
-        assert labeled_latency["count"] == 2
-        assert labeled_latency["p95"] is not None
+        assert snapshot["serve.requests.distance"]["value"] == 2
+        assert snapshot["serve.latency.distance"]["count"] == 2
+        assert not [name for name in snapshot if "{" in name]
+        for entry in snapshot.values():
+            if entry["kind"] == "histogram":
+                assert set(entry) == {"kind", "count", "total", "sum_sq",
+                                      "min", "max", "mean", "std"}
 
     def test_tenant_stats_in_stats_endpoint(self):
         async def body():
