@@ -67,6 +67,7 @@ fast-test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
+	$(PYTHON) benchmarks/report.py
 
 examples:
 	for script in examples/*.py; do \

@@ -69,3 +69,14 @@ class TestBuildReport:
             assert match.group(1) in ordered, (
                 "%s's result %r missing from report.ORDER"
                 % (filename, match.group(1)))
+
+    def test_committed_report_is_current(self, report):
+        """REPORT.md is exactly what report.py builds from the committed
+        results: regenerate it (`python benchmarks/report.py`, which
+        `make bench` runs) whenever a results table changes.
+        """
+        path = os.path.join(os.path.dirname(__file__), "..", "..",
+                            "REPORT.md")
+        with open(path) as handle:
+            committed = handle.read()
+        assert report.build_report() == committed
