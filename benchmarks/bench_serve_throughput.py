@@ -75,18 +75,14 @@ async def _drive_burst():
         await service.close()
 
 
-def run_serve_burst():
-    return asyncio.run(_drive_burst())
-
-
 def _nearest_rank(ascending, q):
     """The nearest-rank ``q`` quantile of an ascending list."""
     return ascending[max(1, math.ceil(q * len(ascending))) - 1]
 
 
 def test_serve_throughput(benchmark):
-    measurement = benchmark.pedantic(run_serve_burst, rounds=1,
-                                     iterations=1)
+    measurement = benchmark.pedantic(lambda: asyncio.run(_drive_burst()),
+                                     rounds=1, iterations=1)
     stats = measurement["stats"]
     total = UNIQUE * COPIES
     saved = (stats["coalesced"] + stats["cache_hits"]

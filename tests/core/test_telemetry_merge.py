@@ -184,7 +184,7 @@ _VALUES = st.integers(min_value=1, max_value=2 ** 20).map(
 
 _OPERATIONS = st.lists(
     st.tuples(
-        st.sampled_from(["a", "b", "c", "dee", "spill-1", "spill-2"]),
+        st.sampled_from(["a", "b", "c", "dee", "acme-1", "acme-2"]),
         st.sampled_from(["solve", "distance"]),
         st.lists(_VALUES, max_size=8),
     ),
