@@ -75,7 +75,9 @@ join.  The engine itself records ``parallel.tasks`` (one per chunk
 *execution*, so retried chunks count each attempt),
 ``parallel.failures``, ``parallel.retries``, ``parallel.giveups``, and
 the ``parallel.worker_seconds`` histogram, and wraps each map in a
-``parallel.map`` span.
+``parallel.map`` span whose ``tasks`` attribute counts the chunks of
+the returned results (fewer than submitted when a ``stop=`` predicate
+ended the map early).
 
 Serial fallback
 ---------------
@@ -191,11 +193,12 @@ def is_chunked(workers=None, chunk_size=None, timeout=None, retry=None):
             or timeout is not None or retry is not None)
 
 
-def default_chunk_size(total):
-    """Chunk size splitting ``total`` tasks into ~:data:`DEFAULT_CHUNKS`."""
+def default_chunk_size(total, minimum=1):
+    """Chunk size splitting ``total`` tasks into ~:data:`DEFAULT_CHUNKS`,
+    but never below ``minimum`` tasks per chunk."""
     if total < 0:
         raise ParallelError("total must be non-negative, got %d" % total)
-    return max(1, -(-total // DEFAULT_CHUNKS))
+    return max(minimum, -(-total // DEFAULT_CHUNKS))
 
 
 def chunk_sizes(total, chunk_size=None):
@@ -624,6 +627,16 @@ def shutdown_pools():
 atexit.register(shutdown_pools)
 
 
+def _stop_prefix(stop, outcomes, settled):
+    """Grow the settled prefix past ``settled``, asking ``stop`` at each
+    length; returns ``(length, stopped)``."""
+    while settled in outcomes:
+        settled += 1
+        if stop([outcomes[index] for index in range(settled)]):
+            return settled, True
+    return settled, False
+
+
 class ParallelMap:
     """Map a function over chunk payloads on a bounded worker pool.
 
@@ -657,16 +670,17 @@ class ParallelMap:
         self.timeout = timeout
 
     def map(self, fn, tasks, on_error="raise", retry=None, validate=None,
-            cache=None):
+            cache=None, stop=None):
         """Run ``fn`` over ``tasks``; return results in task order.
 
         Parameters
         ----------
         on_error : str
-            ``"raise"`` re-raises the first *permanent* failure as a
-            :class:`ParallelError` (after every task has been given the
-            chance to finish and retry); ``"return"`` leaves a
-            :class:`TaskFailure` in the failed slots instead.
+            ``"raise"`` re-raises the first *permanent* failure among the
+            returned results as a :class:`ParallelError` (after every
+            task has been given the chance to finish and retry);
+            ``"return"`` leaves a :class:`TaskFailure` in the failed
+            slots instead.
         retry : None or int
             Total attempts per chunk, the first included
             (:func:`repro.core.resilience.resolve_retry`).  A failed
@@ -687,6 +701,18 @@ class ParallelMap:
             executing; every freshly computed, validated chunk value is
             stored as it completes.  Failures are never cached, so a
             map that failed re-runs only its failed chunks.
+        stop : callable, optional
+            Early stop for a map whose answer reads only a prefix of
+            the results.  ``stop(prefix)`` is called on the in-order
+            prefix of settled results (a :class:`TaskFailure` holds a
+            permanently failed slot), once per prefix length, shortest
+            first.  Chunks are then dispatched in index order, in waves
+            of at most the worker count (1 when the map runs serially);
+            a wave's retries finish before its results join the prefix,
+            and once ``stop`` returns true no further chunk is
+            dispatched and the map returns the shortest prefix it held
+            for.  That prefix is the same for every worker count; only
+            how many chunks past it ran can differ.
         """
         if on_error not in ("raise", "return"):
             raise ParallelError(
@@ -723,50 +749,61 @@ class ParallelMap:
                 or (self.timeout is not None and bool(pending))
             context = _pick_context() if fanout else None
             copy_tasks = retry is not None or plan is not None
-            attempt = 1
-            while pending:
-                if context is None:
-                    round_values = self._run_serial(
-                        fn, pending, registry, attempt, plan, copy_tasks)
-                else:
-                    round_values = self._run_pool(
-                        fn, pending, workers, context, registry, attempt,
-                        plan)
-                retry_pairs = []
-                for index, task in pending:
-                    value = round_values[index]
-                    if validate is not None \
-                            and not isinstance(value, TaskFailure) \
-                            and not validate(value):
-                        value = TaskFailure(
-                            index, "invalid",
-                            "validate() rejected the chunk result")
-                        if registry.enabled:
-                            registry.counter("parallel.failures").inc()
-                    if isinstance(value, TaskFailure):
-                        if retry is not None and attempt < retry:
-                            retry_pairs.append((index, task))
-                            if registry.enabled:
-                                registry.counter("parallel.retries").inc()
-                            continue
-                        if retry is not None and registry.enabled:
-                            registry.counter("parallel.giveups").inc()
-                        outcomes[index] = value
+            width = total if stop is None else workers
+            settled, stopped = 0, False
+            while True:
+                if stop is not None:
+                    settled, stopped = _stop_prefix(stop, outcomes, settled)
+                if stopped or not pending:
+                    break
+                wave, pending = pending[:width], pending[width:]
+                attempt = 1
+                while wave:
+                    if context is None:
+                        round_values = self._run_serial(
+                            fn, wave, registry, attempt, plan, copy_tasks)
                     else:
-                        outcomes[index] = value
-                        if cache is not None:
-                            cache.store(value, index)
-                pending = retry_pairs
-                attempt += 1
-            results = [outcomes[index] for index in range(total)]
+                        round_values = self._run_pool(
+                            fn, wave, workers, context, registry, attempt,
+                            plan)
+                    retry_pairs = []
+                    for index, task in wave:
+                        value = round_values[index]
+                        if validate is not None \
+                                and not isinstance(value, TaskFailure) \
+                                and not validate(value):
+                            value = TaskFailure(
+                                index, "invalid",
+                                "validate() rejected the chunk result")
+                            if registry.enabled:
+                                registry.counter("parallel.failures").inc()
+                        if isinstance(value, TaskFailure):
+                            if retry is not None and attempt < retry:
+                                retry_pairs.append((index, task))
+                                if registry.enabled:
+                                    registry.counter(
+                                        "parallel.retries").inc()
+                                continue
+                            if retry is not None and registry.enabled:
+                                registry.counter("parallel.giveups").inc()
+                            outcomes[index] = value
+                        else:
+                            outcomes[index] = value
+                            if cache is not None:
+                                cache.store(value, index)
+                    wave = retry_pairs
+                    attempt += 1
+            results = [outcomes[index]
+                       for index in range(settled if stopped else total)]
             failures = [r for r in results if isinstance(r, TaskFailure)]
             if map_span:
+                map_span.set_attr("tasks", len(results))
                 map_span.set_attr("failures", len(failures))
         if failures and on_error == "raise":
             first = failures[0]
             raise ParallelError(
                 "%d of %d parallel task(s) failed; first: task %d %s (%s)"
-                % (len(failures), total, first.index, first.reason,
+                % (len(failures), len(results), first.index, first.reason,
                    first.message))
         return results
 
@@ -883,7 +920,8 @@ def parallel_map(fn, tasks, workers=None, timeout=None, on_error="raise",
 def run_workload(kind, fn, task, count, merge, meta, inline=None,
                  rng=result_cache.NO_RNG, encode=None, decode=None,
                  validate=None, on_error="raise", workers=None,
-                 chunk_size=None, timeout=None, retry=None, cache=None):
+                 chunk_size=None, timeout=None, retry=None, cache=None,
+                 min_chunk=1, stop=None):
     """Run one kernel call inline or chunked; returns its merged result.
 
     The inline path (taken when :func:`is_chunked` is false and the
@@ -932,13 +970,24 @@ def run_workload(kind, fn, task, count, merge, meta, inline=None,
     workers, chunk_size, cache
         Worker count, work units per chunk, and the ``cache=`` argument
         (:func:`repro.core.cache.resolve_cache`).
+    min_chunk : int
+        The kernel's floor on units per chunk when ``chunk_size`` is
+        None: the default size is ``max(min_chunk, ceil(count /
+        DEFAULT_CHUNKS))``, so a call too small to repay a dispatch per
+        chunk runs as one chunk.  An explicit ``chunk_size`` wins.
+    stop : callable or None
+        Early stop over the in-order prefix of chunk results
+        (:meth:`ParallelMap.map`); ``merge`` then receives only that
+        prefix.  Every chunk's stream is still spawned up front, so
+        ``rng`` ends in the same state whether or not the map stops.
     """
     if inline is not None and not is_chunked(workers, chunk_size, timeout,
                                              retry):
         return result_cache.cached_call(kind, inline, meta, rng=rng,
                                         cache=cache, encode=encode,
                                         decode=decode)
-    sizes = chunk_sizes(count, chunk_size)
+    sizes = chunk_sizes(count, default_chunk_size(count, min_chunk)
+                        if chunk_size is None else chunk_size)
     # spec_for evaluates the meta right away: the RNG is fingerprinted
     # before spawn_rngs advances it.
     spec = result_cache.spec_for(
@@ -954,5 +1003,5 @@ def run_workload(kind, fn, task, count, merge, meta, inline=None,
         start += size
     values = ParallelMap(workers=workers, timeout=timeout).map(
         fn, tasks, on_error=on_error, retry=retry, validate=validate,
-        cache=spec)
+        cache=spec, stop=stop)
     return merge(values)

@@ -34,6 +34,15 @@ from .bresenham import (CIRCLE_OFFSETS_R3, circle_intensities,
 #: The circle offsets as a ``(16, 2)`` index array.
 _RING = np.array(CIRCLE_OFFSETS_R3)
 
+#: Fewest pixels in a default chunk of
+#: :meth:`OscillatorFastDetector.detect`.  Measured on a 2-vCPU host
+#: (min of 20): ``_scan`` costs ~1.0-2.9 us per pixel on a smooth
+#: scene and ~5.5-6 us on noise (24x24 to 96x96), plus ~0.1 ms per
+#: call, while a pool dispatch costs ~110-145 us per chunk.  A
+#: 1,024-pixel chunk (~1-6 ms) repays its dispatch; a small image is
+#: one chunk, and a 256x256 image still splits into 8.
+MIN_CHUNK_PIXELS = 1024
+
 
 def _encode_block(value):
     corners, comparisons, pixels = value
@@ -219,12 +228,14 @@ class OscillatorFastDetector:
         Runs on :func:`repro.core.parallel.run_workload`: inline on this
         detector unless the call is chunked (``workers``, ``chunk_size``,
         ``timeout`` or ``retry`` set), in which case the interior pixels
-        are split into blocks scored on the parallel engine (image-patch
-        scoring is pure, so the corner list is identical on both paths
-        and for every worker count) and worker telemetry merges into the
-        active registry at join.  ``timeout``/``retry`` bound each block
-        and re-dispatch failed ones before giving up.  ``cache`` (None /
-        False / path / :class:`~repro.core.cache.ResultCache`) reuses
+        are split into blocks (by default ~8 of at least
+        :data:`MIN_CHUNK_PIXELS` pixels) scored on the parallel engine
+        (image-patch scoring is pure, so the corner list is identical on
+        both paths and for every worker count) and worker telemetry
+        merges into the active registry at join.  ``timeout``/``retry``
+        bound each block and re-dispatch failed ones before giving up.
+        ``cache`` (None / False / path /
+        :class:`~repro.core.cache.ResultCache`) reuses
         detections content-addressed by the image pixels and the
         detector's knobs (deterministic workload, always cacheable);
         ``last_stats`` and the ``oscillator.fast.*`` counters replay on
@@ -244,7 +255,7 @@ class OscillatorFastDetector:
                 inline=lambda: self._scan(float_image, pixel_array),
                 encode=_encode_block, decode=_decode_block,
                 workers=workers, chunk_size=chunk_size, timeout=timeout,
-                retry=retry, cache=cache)
+                retry=retry, cache=cache, min_chunk=MIN_CHUNK_PIXELS)
             detect_span.set_attr("pixels", pixels)
             detect_span.set_attr("corners", len(corners))
             detect_span.set_attr("comparisons", self._comparisons)

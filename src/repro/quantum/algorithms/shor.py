@@ -151,6 +151,17 @@ def _first_order(a, modulus, readings):
     return None
 
 
+def _order_settled(a, modulus, readings):
+    """Early stop: the newest reading is usable or permanently failed.
+
+    Called once per prefix length, so the first true is the prefix
+    :func:`_first_order` reads no further than.
+    """
+    last = readings[-1]
+    return isinstance(last, parallel.TaskFailure) \
+        or _order_from_measurement(a, modulus, *last) is not None
+
+
 def find_order(a, modulus, rng=None, max_attempts=10, workers=None,
                timeout=None, retry=None, cache=None):
     """Quantum order finding with classical post-processing.
@@ -160,20 +171,27 @@ def find_order(a, modulus, rng=None, max_attempts=10, workers=None,
     order ``r`` or ``None`` after ``max_attempts`` failed phase readings.
 
     A chunked call (``workers > 1``, ``timeout`` or ``retry`` set, see
-    :func:`repro.core.parallel.is_chunked`) runs the attempts
-    concurrently on the parallel engine, one attempt per chunk, each
-    with its own child generator spawned from ``rng``; phase readings
-    are post-processed in attempt order and the first usable order
-    wins, so the result is a deterministic function of the seed alone,
-    whatever the worker count.  ``timeout``/``retry`` bound and
-    re-dispatch individual attempts.  ``cache`` (None / False / path /
+    :func:`repro.core.parallel.is_chunked`) runs the attempts on the
+    parallel engine, one attempt per chunk, each with its own child
+    generator spawned from ``rng`` (all ``max_attempts`` streams are
+    spawned up front); attempts are dispatched in order, in waves of at
+    most the worker count, and none is dispatched once a finished
+    prefix holds a usable reading or a permanent failure.  The first
+    usable order in attempt order wins, so the result is a
+    deterministic function of the seed alone, whatever the worker
+    count.  ``timeout``/``retry`` bound and re-dispatch individual
+    attempts.  ``cache`` (None / False / path /
     :class:`~repro.core.cache.ResultCache`) stores each finished phase
     reading of that branch, content-addressed by ``(a, modulus,
     max_attempts, RNG fingerprint)``, so a killed run re-run against the
     same directory repeats only its missing attempts.  Any other call
     runs the attempts in sequence on one shared generator, stopping at
-    the first usable order; that branch is never cached.
+    the first usable order; that branch is never cached.  A base that
+    shares a factor with ``modulus`` raises :class:`QuantumError` on
+    either branch before any attempt runs.
     """
+    if math.gcd(a, modulus) != 1:
+        raise QuantumError("a=%d shares a factor with N=%d" % (a, modulus))
     if parallel.is_chunked(workers, timeout=timeout, retry=retry):
         return parallel.run_workload(
             "shor-order", _order_attempt,
@@ -183,7 +201,8 @@ def find_order(a, modulus, rng=None, max_attempts=10, workers=None,
                      "max_attempts": int(max_attempts)},
             rng=rng, encode=_encode_reading, decode=_decode_reading,
             validate=_reading_is_sane, workers=workers, chunk_size=1,
-            timeout=timeout, retry=retry, cache=cache)
+            timeout=timeout, retry=retry, cache=cache,
+            stop=lambda readings: _order_settled(a, modulus, readings))
     rng = make_rng(rng)
     for _ in range(max_attempts):
         measured, t = _order_attempt((a, modulus, rng))

@@ -2,17 +2,25 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.core.io import save_dimacs
 from repro.core.sat_instances import planted_ksat
+from repro.oscillators.distance import MIN_CHUNK_PAIRS
 
 
 def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def pair_values(count):
+    """``distance`` arguments for ``count`` seeded intensity pairs."""
+    rng = np.random.default_rng(count)
+    return [str(value) for value in rng.integers(0, 256, size=2 * count)]
 
 
 class TestInfo:
@@ -270,9 +278,11 @@ class TestResilienceFlags:
         from repro.core import resilience, telemetry
         from repro.core.exceptions import ParallelError
 
-        argv = ["distance", "120", "40", "10", "200", "--retries", "2",
-                "--cache-dir", str(tmp_path / "cache")]
-        _code, baseline = run_cli(["distance", "120", "40", "10", "200"])
+        # one pair past the chunk floor: two chunks, the second faulted
+        pairs = pair_values(MIN_CHUNK_PAIRS + 1)
+        argv = ["distance"] + pairs + ["--retries", "2",
+                                       "--cache-dir", str(tmp_path / "cache")]
+        _code, baseline = run_cli(["distance"] + pairs)
         fault_plan([(1, 1, "raise"), (1, 2, "raise")])
         with pytest.raises(ParallelError):
             run_cli(argv)
@@ -303,22 +313,32 @@ class TestResilienceFlags:
         assert "restarts" in text
 
     def test_factor_checkpoint_written(self, tmp_path):
-        """A chunked factorization stores every finished order-finding
-        attempt in --cache-dir, so a killed run can resume mid-base."""
+        """A chunked factorization stores every order-finding attempt it
+        ran in --cache-dir, so a killed run can resume mid-base; order
+        finding stops at its first usable reading, so fewer than
+        max_attempts run."""
         import json
         import os
+
+        from repro.core import telemetry
 
         cache_dir = str(tmp_path / "cache")
         # seed 1's first base is coprime to 15, so order finding (the
         # per-attempt path) actually runs instead of a gcd shortcut
-        code, text = run_cli(["factor", "15", "--seed", "1",
-                              "--retries", "2", "--cache-dir", cache_dir])
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            code, text = run_cli(["factor", "15", "--seed", "1",
+                                  "--retries", "2",
+                                  "--cache-dir", cache_dir])
         assert code == 0
         assert "15 = " in text
         kinds = [json.load(open(os.path.join(cache_dir, name)))
                  ["fingerprint"]["kind"] for name in os.listdir(cache_dir)]
         assert kinds.count("shor-factor") == 1
-        assert kinds.count("shor-order-chunk") == 10  # max_attempts
+        attempts = registry.counter(
+            "quantum.shor.order_finding_attempts").value
+        assert kinds.count("shor-order-chunk") == attempts
+        assert 0 < attempts < 10  # max_attempts
 
 
 class TestFlagValidation:
@@ -419,7 +439,8 @@ class TestCacheFlags:
         from repro.core.exceptions import ParallelError
 
         cache_dir = str(tmp_path / "cache")
-        pairs = ["120", "40", "10", "200", "33", "34"]
+        # three chunks: two at the chunk floor and one pair
+        pairs = pair_values(2 * MIN_CHUNK_PAIRS + 1)
         _code, baseline = run_cli(["distance"] + pairs)
         fault_plan([(0, 1, "raise")])
         with pytest.raises(ParallelError):

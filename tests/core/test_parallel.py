@@ -99,6 +99,12 @@ class TestChunking:
         assert default_chunk_size(1) == 1
         assert default_chunk_size(0) == 1
 
+    def test_default_chunk_size_respects_a_floor(self):
+        assert default_chunk_size(64, minimum=16) == 16
+        assert default_chunk_size(10, minimum=16) == 16
+        assert default_chunk_size(1000, minimum=16) == 125
+        assert chunk_sizes(100, default_chunk_size(100, 64)) == [64, 36]
+
     def test_chunk_list_preserves_order(self):
         items = list(range(7))
         chunks = chunk_list(items, 3)
@@ -294,6 +300,86 @@ class TestEngineTelemetry:
         results = ParallelMap(workers=2).map(_square, [1, 2, 3])
         assert results == [1, 4, 9]
         assert telemetry.get_registry().snapshot() == {}
+
+
+def _reaches_nine(prefix):
+    return prefix[-1] >= 9
+
+
+def _settled(prefix):
+    return isinstance(prefix[-1], TaskFailure) or prefix[-1] >= 9
+
+
+class TestEarlyStop:
+    """``stop=``: ordered waves of at most the worker count, and no
+    dispatch once the settled prefix satisfies the predicate."""
+
+    TASKS = list(range(1, 11))
+
+    @pytest.mark.parametrize("workers, ran", [(1, 3), (2, 4), (3, 3),
+                                              ("auto", 4)])
+    def test_returns_the_shortest_satisfying_prefix(self, workers, ran,
+                                                    monkeypatch):
+        monkeypatch.setattr(parallel_module, "_cpu_count", lambda: 2)
+        registry = telemetry.MetricsRegistry()
+        sink = registry.add_sink(telemetry.ListSink())
+        with telemetry.use_registry(registry):
+            results = ParallelMap(workers=workers).map(
+                _square_instrumented, self.TASKS, stop=_reaches_nine)
+        assert results == [1, 4, 9]
+        # chunks past the prefix run only to fill the last wave
+        assert registry.counter("parallel.tasks").value == ran
+        assert registry.counter("test.parallel.calls").value == ran
+        spans = [event for event in sink.events
+                 if event.get("name") == "parallel.map"]
+        assert [event["attrs"]["tasks"] for event in spans] == [3]
+
+    def test_never_satisfied_runs_everything(self):
+        assert ParallelMap(workers=2).map(
+            _square, self.TASKS, stop=lambda prefix: False) \
+            == [x * x for x in self.TASKS]
+
+    def test_a_waves_retries_finish_before_the_check(self, fault_plan):
+        fault_plan([(0, 1, "raise"), (2, 1, "raise")])
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            results = ParallelMap(workers=2).map(
+                _square, self.TASKS, retry=2, stop=_reaches_nine)
+        assert results == [1, 4, 9]
+        assert registry.counter("parallel.retries").value == 2
+        assert registry.counter("parallel.tasks").value == 6
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_permanent_failure_can_end_the_prefix(self, workers,
+                                                    fault_plan):
+        fault_plan([(1, 1, "raise")])
+        results = ParallelMap(workers=workers).map(
+            _square, self.TASKS, on_error="return", stop=_settled)
+        assert results[0] == 1
+        assert isinstance(results[1], TaskFailure)
+        assert len(results) == 2
+        with pytest.raises(ParallelError, match="1 of 2 parallel task"):
+            ParallelMap(workers=workers).map(_square, self.TASKS,
+                                             stop=_settled)
+
+    def test_a_failure_past_the_prefix_is_never_dispatched(self,
+                                                           fault_plan):
+        fault_plan([(5, 1, "raise")])
+        assert ParallelMap(workers=2).map(
+            _square, self.TASKS, stop=_reaches_nine) == [1, 4, 9]
+
+    def test_cache_hits_fill_the_prefix_without_dispatch(self):
+        from repro.core.cache import ResultCache
+
+        spec = ResultCache().spec("demo", {"test": "early-stop"})
+        for index in range(3):
+            spec.store(self.TASKS[index] ** 2, index)
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            results = ParallelMap(workers=2).map(
+                _square, self.TASKS, cache=spec, stop=_reaches_nine)
+        assert results == [1, 4, 9]
+        assert registry.counter("parallel.tasks").value == 0
 
 
 # -- persistent worker-pool lifecycle --------------------------------------

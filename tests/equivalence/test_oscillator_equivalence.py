@@ -9,11 +9,12 @@ of the per-pixel ``is_corner`` loop it replaces.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import telemetry
-from repro.oscillators.distance import OscillatorDistanceUnit
+from repro.oscillators.distance import MIN_CHUNK_PAIRS, OscillatorDistanceUnit
 from repro.oscillators.fast.bresenham import interior_pixels
 from repro.oscillators.fast.oscillator_fast import OscillatorFastDetector
 
@@ -93,6 +94,20 @@ class TestMeasurePairsWorkerStability:
         pairs = self.pairs(count=9)
         assert unit.measure_pairs(pairs) \
             == [unit.measure(a, b) for a, b in pairs]
+
+    @pytest.mark.parametrize("count", [
+        MIN_CHUNK_PAIRS - 1, MIN_CHUNK_PAIRS, MIN_CHUNK_PAIRS + 1,
+        8 * MIN_CHUNK_PAIRS + 3])
+    @pytest.mark.parametrize("options", [{"retry": 2}, {"workers": 2}],
+                             ids=["retry", "workers"])
+    def test_default_chunks_around_the_floor(self, count, options):
+        # one chunk up to the floor, two just past it, and ~8 chunks of
+        # more than the floor far past it
+        unit = OscillatorDistanceUnit()
+        pairs = np.random.default_rng(count).uniform(0.0, 255.0,
+                                                     size=(count, 2))
+        assert unit.measure_pairs(pairs, **options) \
+            == unit.measure_pairs(pairs)
 
 
 def fast_scene(seed, height, width, scene, dtype):

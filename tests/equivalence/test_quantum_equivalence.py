@@ -16,6 +16,9 @@ from hypothesis import strategies as st
 from repro.core import parallel, resilience, telemetry
 from repro.core.cache import ResultCache
 from repro.core.exceptions import ParallelError
+from repro.core.rngs import spawn_rngs
+from repro.quantum.algorithms.shor import (_first_order, _order_attempt,
+                                           find_order)
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.microarch import MicroArchitecture, assemble
 from repro.quantum.runtime import QuantumRuntime
@@ -261,3 +264,36 @@ class TestRuntimeWorkerStability:
         assert registry.counter("cache.hits").value == 3
         assert registry.counter("cache.stores").value == 1
         assert registry.counter("parallel.tasks").value == 1
+
+
+def all_attempts_order(a, modulus, rng, max_attempts=10):
+    """Reference for chunked :func:`find_order`: every one of the
+    ``max_attempts`` phase readings, each on its spawned stream, then
+    the first usable order in attempt order."""
+    readings = [_order_attempt((a, modulus, stream))
+                for stream in spawn_rngs(rng, max_attempts)]
+    return _first_order(a, modulus, readings)
+
+
+class TestFindOrderEarlyStop:
+    """Chunked order finding stops dispatching at its first usable
+    reading; the answer, and the state the caller's generator is left
+    in, are those of running all ``max_attempts`` readings."""
+
+    @settings(max_examples=16, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           case=st.sampled_from([(2, 15), (7, 15), (4, 15), (2, 21)]),
+           workers=st.sampled_from([1, 2, "auto"]))
+    def test_matches_all_attempts_reference(self, seed, case, workers):
+        a, modulus = case
+        reference_rng = np.random.default_rng(seed)
+        expected = all_attempts_order(a, modulus, reference_rng)
+        rng = np.random.default_rng(seed)
+        assert find_order(a, modulus, rng=rng, workers=workers, retry=2,
+                          cache=False) == expected
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert rng.bit_generator.seed_seq.n_children_spawned \
+            == reference_rng.bit_generator.seed_seq.n_children_spawned
+        # the next base shor_factor would draw is the same
+        assert rng.integers(2, modulus - 1) \
+            == reference_rng.integers(2, modulus - 1)

@@ -92,6 +92,36 @@ class TestShor:
         with pytest.raises(QuantumError):
             find_order(5, 15)
 
+    @pytest.mark.parametrize("options", [{"retry": 2}, {"workers": 2}],
+                             ids=["retry", "workers"])
+    def test_chunked_order_finding_rejects_non_coprime(self, options):
+        # the chunked branch raises the sequential branch's error, before
+        # any attempt is dispatched
+        with pytest.raises(QuantumError):
+            find_order(5, 15, **options)
+
+    def test_chunked_order_finding_replays_its_attempts(self, tmp_path):
+        """Only the attempts up to the first usable reading run and are
+        stored; a re-run replays them and stops at the same reading."""
+        from repro.core import telemetry
+        from repro.core.cache import ResultCache
+
+        counts = []
+        for _ in range(2):
+            registry = telemetry.MetricsRegistry()
+            with telemetry.use_registry(registry):
+                order = find_order(11, 15, rng=3, retry=2,
+                                   cache=ResultCache(str(tmp_path)))
+            counts.append((order, registry.counter("cache.stores").value,
+                           registry.counter("cache.hits").value,
+                           registry.counter("parallel.tasks").value))
+        cold, warm = counts
+        assert cold[0] == warm[0] == 2
+        attempts = cold[1]
+        assert 0 < attempts < 10
+        assert cold[3] == attempts
+        assert warm[1:] == (0, attempts, 0)
+
     def test_order_circuit_dimensions(self):
         circuit, t, n = order_finding_circuit(7, 15)
         assert n == 4

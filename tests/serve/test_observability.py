@@ -28,11 +28,13 @@ class TestTraceContinuity:
         two worker processes yields serve.http, serve.admission,
         serve.dispatch and parallel.chunk span events that all carry
         the same trace id, and the Chrome export preserves it in every
-        event's args -- one request, one trace, across processes.
+        event's args -- one request, one trace, across processes.  The
+        four pairs are one chunk, which only a timed map sends to the
+        pool.
         """
         with _live_registry() as (registry, sink):
             async def body():
-                async with running_app(workers=2) as app:
+                async with running_app(workers=2, timeout=30) as app:
                     status, _, doc = await _request(
                         app.port, "POST", "/v1/jobs",
                         {"kind": "distance",

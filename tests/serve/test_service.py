@@ -478,3 +478,38 @@ class TestResultStore:
         assert alive and all(alive)
         assert second.state == DONE and second.result == first.result
         assert registry.snapshot()["cache.store_errors"]["value"] >= 1
+
+
+class TestWorkCounts:
+    """Serve's default ``retries=2`` sends every kernel call down the
+    chunked path; the chunked path runs only the work the answer reads:
+    a small request is one chunk, and order finding stops at its first
+    usable reading."""
+
+    @staticmethod
+    def _grew(counter, kind, params):
+        async def body(service):
+            job = service.submit(kind, params)
+            await job.future
+            assert job.state == DONE
+
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            run_service_test(body, cache=False)
+        return registry.counter(counter).value
+
+    def test_distance_request_runs_one_chunk(self):
+        pairs = np.random.default_rng(4).uniform(0.0, 255.0, size=(64, 2))
+        assert self._grew("parallel.tasks", "distance",
+                          {"pairs": pairs.tolist()}) == 1
+
+    def test_detect_request_runs_one_chunk(self):
+        image = np.random.default_rng(5).uniform(0.0, 255.0, size=(10, 10))
+        assert self._grew("parallel.tasks", "detect",
+                          {"image": image.tolist()}) == 1
+
+    def test_factor_request_stops_at_first_usable_reading(self):
+        # seed 3 tries one base (11) through order finding; its second
+        # phase reading is the first usable one
+        assert self._grew("quantum.shor.order_finding_attempts", "factor",
+                          {"n": 15, "seed": 3}) == 2
