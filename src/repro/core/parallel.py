@@ -385,6 +385,7 @@ class WorkerPool:
     # -- lifecycle ---------------------------------------------------------
 
     def _spawn_slot(self):
+        shm.share_tracker()
         in_queue = self.context.Queue()
         process = self.context.Process(
             target=_pool_worker_main, args=(in_queue, self.out_queue),

@@ -19,13 +19,26 @@ Lifetime: the parent owns every segment it creates
 (:func:`share_payload` collects them) and must close+unlink each one
 once the chunk's outcome is recorded (:func:`release_segments`); the
 engine does this per chunk, with a final sweep when the round ends.
+
+Attaching to a segment (``SharedMemory(name=...)``) registers it with
+the attaching process's resource tracker.  A worker forked before the
+parent's tracker ran starts a tracker of its own, which no unlink ever
+reaches: at exit it warns about "leaked shared_memory objects" that
+were in fact released.  The engine therefore calls
+:func:`share_tracker` before it starts a worker, so every worker
+registers into the parent's tracker, where the parent's unlink clears
+the entry.  (Unregistering in the worker instead would remove the
+parent's own entry whenever the tracker is shared, and the parent's
+unlink would then fail inside the tracker.)
 """
 
+import os
 import threading
 
 import numpy as np
 
 try:
+    from multiprocessing import resource_tracker as _resource_tracker
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover -- stdlib module, but stay gated
     _shared_memory = None
@@ -58,6 +71,13 @@ SHARE_THRESHOLD_BYTES = 64 * 1024
 def available():
     """True when the platform offers POSIX shared memory."""
     return _shared_memory is not None
+
+
+def share_tracker():
+    """Start this process's resource tracker so workers started after
+    this call register their segment attaches with it."""
+    if _shared_memory is not None and os.name == "posix":
+        _resource_tracker.ensure_running()
 
 
 class SharedArrayHandle:

@@ -540,6 +540,44 @@ class TestWorkerPoolLifecycle:
         assert engine.map(_square, [3, 4]) == [9, 16]
 
 
+#: A pool run whose pairs ride in shared memory, in a new interpreter;
+#: argv[1] == "started" starts the resource tracker before the pool.
+_SHARED_RUN_SCRIPT = """
+import sys
+import numpy as np
+from multiprocessing import shared_memory
+from repro.oscillators.distance import OscillatorDistanceUnit
+if sys.argv[1] == "started":
+    segment = shared_memory.SharedMemory(create=True, size=64)
+    segment.close()
+    segment.unlink()
+pairs = np.random.default_rng(0).uniform(0.0, 255.0, size=(200000, 2))
+OscillatorDistanceUnit().measure_pairs(pairs, workers=2, cache=False)
+"""
+
+
+class TestSharedMemoryTracker:
+    """A clean pool run leaves the resource tracker nothing to clean up:
+    at exit no tracker warns of leaked segments, whether or not the
+    parent's tracker ran before the workers started."""
+
+    @pytest.mark.parametrize("tracker", ["fresh", "started"])
+    def test_clean_pool_run_reports_no_leak(self, tracker):
+        import subprocess
+        import sys
+
+        import repro
+
+        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        done = subprocess.run(
+            [sys.executable, "-c", _SHARED_RUN_SCRIPT, tracker], env=env,
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "leaked shared_memory" not in done.stderr
+        assert "Traceback" not in done.stderr
+
+
 class TestAutoWorkers:
     """``workers="auto"``: machine-sized placement, invariant results."""
 
