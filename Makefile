@@ -8,7 +8,8 @@ test:
 	$(PYTHON) -m pytest tests/ -q
 
 # Parallel engine + determinism suite, then the fan-out call sites
-# exercised with REPRO_WORKERS=2 as the ambient default.  Sets
+# exercised with REPRO_WORKERS=2 as the ambient default (order finding
+# included: its early-stop waves then run on the pool).  Sets
 # PYTHONPATH=src so the target also works without an editable install.
 test-parallel:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
@@ -17,6 +18,8 @@ test-parallel:
 	REPRO_WORKERS=2 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		$(PYTHON) -m pytest tests/core/test_cli.py \
 		tests/memcomputing/test_ensemble.py -q
+	REPRO_WORKERS=2 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
+		$(PYTHON) -m pytest tests/quantum/test_algorithms.py -q
 
 # Recovery suite: retry budgets, fault injection, resuming a killed run
 # from its cache directory, then an end-to-end check that a fault plan
