@@ -62,6 +62,11 @@ def _modmul_permutation(multiplier, modulus, num_bits):
     return table
 
 
+def _require_coprime(a, modulus):
+    if math.gcd(a, modulus) != 1:
+        raise QuantumError("a=%d shares a factor with N=%d" % (a, modulus))
+
+
 def order_finding_circuit(a, modulus, num_count_qubits=None):
     """Phase-estimation circuit for the order of ``a`` modulo ``modulus``.
 
@@ -69,8 +74,7 @@ def order_finding_circuit(a, modulus, num_count_qubits=None):
     ``[t, t + n)`` are the work register initialized to ``|1>``.
     Returns ``(circuit, t, n)``.
     """
-    if math.gcd(a, modulus) != 1:
-        raise QuantumError("a=%d shares a factor with N=%d" % (a, modulus))
+    _require_coprime(a, modulus)
     n = max(1, (modulus - 1).bit_length())
     t = num_count_qubits if num_count_qubits is not None else 2 * n
     circuit = QuantumCircuit(t + n, name="order_finding(a=%d,N=%d)" % (a, modulus))
@@ -190,8 +194,7 @@ def find_order(a, modulus, rng=None, max_attempts=10, workers=None,
     shares a factor with ``modulus`` raises :class:`QuantumError` on
     either branch before any attempt runs.
     """
-    if math.gcd(a, modulus) != 1:
-        raise QuantumError("a=%d shares a factor with N=%d" % (a, modulus))
+    _require_coprime(a, modulus)
     if parallel.is_chunked(workers, timeout=timeout, retry=retry):
         return parallel.run_workload(
             "shor-order", _order_attempt,
