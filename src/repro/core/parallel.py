@@ -75,9 +75,9 @@ join.  The engine itself records ``parallel.tasks`` (one per chunk
 *execution*, so retried chunks count each attempt),
 ``parallel.failures``, ``parallel.retries``, ``parallel.giveups``, and
 the ``parallel.worker_seconds`` histogram, and wraps each map in a
-``parallel.map`` span whose ``tasks`` attribute counts the chunks of
-the returned results (fewer than submitted when a ``stop=`` predicate
-ended the map early).
+``parallel.map`` span whose ``tasks`` attribute counts the chunks the
+map ran or replayed from the cache (fewer than submitted when a
+``stop=`` predicate ended the map early).
 
 Serial fallback
 ---------------
@@ -798,7 +798,7 @@ class ParallelMap:
                        for index in range(settled if stopped else total)]
             failures = [r for r in results if isinstance(r, TaskFailure)]
             if map_span:
-                map_span.set_attr("tasks", len(results))
+                map_span.set_attr("tasks", len(outcomes))
                 map_span.set_attr("failures", len(failures))
         if failures and on_error == "raise":
             first = failures[0]
