@@ -13,16 +13,18 @@ executions:
   sequential -- perform exactly one kernel execution.
 
 * :class:`DistanceBatcher` -- *compatible* (not identical) small
-  distance requests are merged at dispatch time.  When the dispatcher
-  pops a distance job it drains other queued distance jobs with the
-  same ``mode`` (same unit calibration) until :data:`MAX_BATCH_PAIRS`
-  pairs are gathered, and the whole batch runs as one vectorized
-  ``measure_batch`` call.  The PR 7 equivalence tier guarantees the
-  batched measures are bit-identical to scalar evaluation, so batching
-  is invisible in the results (``serve.batched`` counts jobs that rode
-  along; the ``serve.batch.pairs`` histogram records batch sizes).
-  There is no artificial delay: a lone distance job dispatches
-  immediately, batches only form from work that is already queued.
+  behavioral-mode distance requests are merged at dispatch time.  When
+  the dispatcher pops one it drains other queued behavioral distance
+  jobs until :data:`MAX_BATCH_PAIRS` pairs are gathered, and the whole
+  batch runs as one vectorized ``measure_batch`` call on the event
+  loop.  The PR 7 equivalence tier guarantees the batched measures are
+  bit-identical to scalar evaluation, so batching is invisible in the
+  results (``serve.batched`` counts jobs that rode along; the
+  ``serve.batch.pairs`` histogram records batch sizes).  There is no
+  artificial delay: a lone distance job dispatches immediately, batches
+  only form from work that is already queued.  Physical-mode jobs never
+  merge: each pair is an ODE integration (~2 s), so a merge saves
+  nothing, and alone each job keeps the service's timeout and retries.
 """
 
 
@@ -63,6 +65,10 @@ class Coalescer:
         return len(self._inflight)
 
 
+def _behavioral_distance(job):
+    return job.kind == "distance" and job.params["mode"] == "behavioral"
+
+
 class DistanceBatcher:
     """Dispatch-time merge of compatible queued distance jobs."""
 
@@ -74,22 +80,22 @@ class DistanceBatcher:
     def gather(self, lead, queue):
         """``[lead, ...compatible queued distance jobs]`` within budget.
 
-        Compatibility: same kind (``distance``) and same ``mode`` --
-        the unit calibration decides the response curve, so only
-        same-mode measures may share one vectorized call.  The combined
-        batch never exceeds ``max_pairs`` pairs (jobs are taken in
-        priority order until the budget is spent).
+        Compatibility: kind ``distance`` in ``behavioral`` mode, for
+        the lead and every job merged into its call (the unit
+        calibration decides the response curve, and a physical job
+        dispatches alone).  The combined batch never exceeds
+        ``max_pairs`` pairs (jobs are taken in priority order until the
+        budget is spent).
         """
-        if lead.kind != "distance":
+        if not _behavioral_distance(lead):
             return [lead]
         budget = self.max_pairs - len(lead.params["pairs"])
         if budget <= 0:
             return [lead]
         state = {"budget": budget}
-        mode = lead.params["mode"]
 
         def fits(job):
-            if job.kind != "distance" or job.params["mode"] != mode:
+            if not _behavioral_distance(job):
                 return False
             cost = len(job.params["pairs"])
             if cost > state["budget"]:

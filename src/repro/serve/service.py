@@ -4,12 +4,16 @@
 app (:mod:`repro.serve.app`): callers ``submit()`` jobs on the event
 loop and await their futures; a small set of dispatcher coroutines pops
 admitted jobs off the :class:`~repro.serve.admission.AdmissionQueue`
-and runs the kernels in a thread pool, so the loop keeps serving while
-kernels compute.  Kernel fan-out rides the library's persistent
-:class:`~repro.core.parallel.WorkerPool` -- one pool reused across all
-requests -- whose rounds are serialized internally, so concurrent jobs
-are safe and the pool's crash/timeout recovery (plus the service's
-default retry budget) keeps a killed worker from failing a request.
+and runs them.  A kernel whose cost the request caps bound to a few
+milliseconds (behavioral distance, detect on a small image) runs on the
+event loop itself, where it costs less than a thread hop; every other
+kernel runs in a thread pool, so the loop keeps serving while it
+computes (:func:`_runs_on_loop`).  Kernel fan-out rides the library's
+persistent :class:`~repro.core.parallel.WorkerPool` -- one pool reused
+across all requests -- whose rounds are serialized internally, so
+concurrent jobs are safe and the pool's crash/timeout recovery (plus
+the service's default retry budget) keeps a killed worker from failing
+a request.
 
 One submission takes at most one of these paths, in order:
 
@@ -34,6 +38,7 @@ beyond the followers of the failed execution.
 import asyncio
 import concurrent.futures
 import copy
+import itertools
 import time
 
 import numpy as np
@@ -81,9 +86,10 @@ class ServeConfig:
         Worker processes for each kernel's fan-out path (the shared
         persistent pool; see ``docs/parallelism.md``).
     timeout : float or None
-        Per-chunk wall-clock budget handed to every kernel; must be
-        positive.  It is enforced even at ``workers=1`` (the pool path
-        kills a wedged chunk), which is exactly what a service needs.
+        Per-chunk wall-clock budget handed to every kernel-thread job;
+        must be positive.  It is enforced even at ``workers=1`` (the
+        pool path kills a wedged chunk), which is exactly what a
+        service needs.
     retries : int
         Attempts per failed chunk (the kernels' ``retry=``), at least
         1; the default 2 means one retry, so a crashed/killed worker
@@ -101,9 +107,14 @@ class ServeConfig:
     queue_depth, tenant_quota : int
         Admission bounds (:mod:`repro.serve.admission`).
     job_concurrency : int
-        Dispatcher coroutines / kernel threads running jobs at once.
-        Pool rounds are serialized internally, so this bounds queueing
-        ahead of the pool, not parallelism inside it.
+        Dispatcher coroutines / kernel threads running jobs at once; a
+        job on the event loop holds its dispatcher too.  Pool rounds
+        are serialized internally, so this bounds queueing ahead of the
+        pool, not parallelism inside it.
+
+    ``workers``, ``timeout`` and ``retries`` apply to the jobs that run
+    on a kernel thread; the few-millisecond kernels that run on the
+    event loop take none of them (see :func:`_runs_on_loop`).
     """
 
     def __init__(self, workers=None, timeout=None, retries=2, cache=None,
@@ -140,8 +151,29 @@ def _int_param(params, name, default, low, high):
     return value
 
 
-def _number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _numbers_only(values):
+    """True when every item of ``values`` is an int or a float (no bool).
+
+    Checks the set of types, so the per-value work is one ``type()``.
+    """
+    return all(issubclass(kind, (int, float)) and not issubclass(kind, bool)
+               for kind in set(map(type, values)))
+
+
+def _finite_floats(values, message):
+    """``values`` (numbers already checked) as one float64 array.
+
+    Raises :class:`JobValidationError` with ``message`` unless every
+    value is finite: Python's ``json`` reads ``NaN`` and ``Infinity``,
+    and an integer too large for a float raises ``OverflowError`` in
+    the conversion.
+    """
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise JobValidationError(message) from None
+    _require(np.isfinite(array).all(), message)
+    return array
 
 
 def validate_request(kind, params):
@@ -150,7 +182,8 @@ def validate_request(kind, params):
 
     The canonical form is what gets fingerprinted, so two requests that
     mean the same workload always share a cache key regardless of JSON
-    spelling (e.g. ``2`` vs ``2.0`` intensities).
+    spelling (e.g. ``2`` vs ``2.0`` intensities).  Intensities and the
+    threshold must be finite, so no answer carries a NaN.
     """
     _require(kind in KINDS,
              "unknown job kind %r; expected one of %s" % (kind,
@@ -183,12 +216,12 @@ def validate_request(kind, params):
                  "'pairs' must be a non-empty list of [a, b] pairs")
         _require(len(pairs) <= MAX_PAIRS_PER_REQUEST,
                  "'pairs' exceeds %d pairs" % MAX_PAIRS_PER_REQUEST)
-        canonical = []
-        for pair in pairs:
-            _require(isinstance(pair, (list, tuple)) and len(pair) == 2
-                     and all(_number(v) for v in pair),
-                     "each pair must be [a, b] with numeric intensities")
-            canonical.append([float(pair[0]), float(pair[1])])
+        _require(all(isinstance(pair, (list, tuple)) and len(pair) == 2
+                     for pair in pairs)
+                 and _numbers_only(itertools.chain.from_iterable(pairs)),
+                 "each pair must be [a, b] with numeric intensities")
+        canonical = _finite_floats(
+            pairs, "'pairs' intensities must be finite numbers").tolist()
         mode = params.get("mode", "behavioral")
         _require(mode in ("behavioral", "physical"),
                  "'mode' must be 'behavioral' or 'physical'")
@@ -203,12 +236,15 @@ def validate_request(kind, params):
              "'image' rows must all have the same length")
     _require(len(image) * width <= MAX_IMAGE_PIXELS,
              "'image' exceeds %d pixels" % MAX_IMAGE_PIXELS)
-    _require(all(_number(value) for row in image for value in row),
+    _require(_numbers_only(itertools.chain.from_iterable(image)),
              "'image' values must be numeric")
+    canonical = _finite_floats(
+        image, "'image' values must be finite numbers").tolist()
     threshold = params.get("threshold", 30.0)
-    _require(_number(threshold) and threshold > 0,
-             "'threshold' must be a positive number")
-    return {"image": [[float(v) for v in row] for row in image],
+    message = "'threshold' must be a positive, finite number"
+    _require(_numbers_only([threshold])
+             and _finite_floats(threshold, message) > 0, message)
+    return {"image": canonical,
             "threshold": float(threshold),
             "n": _int_param(params, "n", 9, 1, 16)}
 
@@ -234,21 +270,28 @@ def _fingerprint_meta(kind, params):
     return meta
 
 
-# -- kernel runners (executed on the service's thread pool) -----------------
+# -- kernel runners ---------------------------------------------------------
 #
 # Every runner passes ``cache=False``: the service's result store already
 # keeps each successful result under the request's fingerprint, and
 # kernel-level entries keyed inside one request could serve no other.
+# ``options`` are the kernel's ``workers``, ``timeout`` and ``retry``
+# from the :class:`ServeConfig` for a job on a kernel thread, and
+# :data:`_LOOP_OPTIONS` for a job on the event loop.
 
-def _run_solve(params, config):
+#: Kernel options of a job run on the event loop: inline, so neither a
+#: pool round trip nor ``REPRO_WORKERS`` can reach the loop.
+_LOOP_OPTIONS = {"workers": 1}
+
+
+def _run_solve(params, options):
     from ..core.cnf import parse_dimacs
     from ..memcomputing.solver import solve_portfolio
 
     formula = parse_dimacs(params["dimacs"])
     portfolio = solve_portfolio(
         formula, attempts=params["attempts"], rng=params["seed"],
-        workers=config.workers, timeout=config.timeout,
-        retry=config.retries, cache=False, max_steps=params["max_steps"])
+        cache=False, max_steps=params["max_steps"], **options)
     best = portfolio.best
     if best is None:
         raise ReproError("every portfolio member failed")
@@ -260,12 +303,11 @@ def _run_solve(params, config):
             "steps": int(best.steps), "attempts": int(portfolio.attempts)}
 
 
-def _run_factor(params, config):
+def _run_factor(params, options):
     from ..quantum.algorithms.shor import shor_factor
 
-    result = shor_factor(params["n"], rng=params["seed"],
-                         workers=config.workers, timeout=config.timeout,
-                         retry=config.retries, cache=False)
+    result = shor_factor(params["n"], rng=params["seed"], cache=False,
+                         **options)
     factors = None
     if result.succeeded:
         factors = sorted(int(factor) for factor in result.factors)
@@ -273,26 +315,22 @@ def _run_factor(params, config):
             "factors": factors, "method": str(result.method)}
 
 
-def _run_detect(params, config):
+def _run_detect(params, options):
     from ..oscillators.fast.oscillator_fast import OscillatorFastDetector
 
     image = np.asarray(params["image"], dtype=float)
     detector = OscillatorFastDetector(threshold=params["threshold"],
                                       n=params["n"])
-    corners = detector.detect(image, workers=config.workers,
-                              timeout=config.timeout,
-                              retry=config.retries, cache=False)
+    corners = detector.detect(image, cache=False, **options)
     return {"corners": [[int(row), int(col)] for row, col in corners],
             "count": len(corners)}
 
 
-def _run_distance_single(params, config):
+def _run_distance_single(params, options):
     from ..oscillators.distance import OscillatorDistanceUnit
 
     unit = OscillatorDistanceUnit(mode=params["mode"])
-    measures = unit.measure_pairs(
-        params["pairs"], workers=config.workers, timeout=config.timeout,
-        retry=config.retries, cache=False)
+    measures = unit.measure_pairs(params["pairs"], cache=False, **options)
     return {"measures": [float(value) for value in measures],
             "count": len(measures), "mode": params["mode"]}
 
@@ -323,8 +361,62 @@ _RUNNERS = {"solve": _run_solve, "factor": _run_factor,
             "detect": _run_detect, "distance": _run_distance_single}
 
 
+def _runs_on_loop(job):
+    """Whether ``job``'s kernel runs on the event-loop thread.
+
+    A job runs on the loop when its kernel is one chunk of an RNG-free
+    kernel whose cost the request caps bound; every other job goes to a
+    kernel thread.  Measured on a 2-vCPU host: an empty
+    ``run_in_executor`` round trip costs ~140 us, and with the GIL
+    passing between the loop and two kernel threads the server spent
+    1.6-1.9 ms of CPU per distance request (a ~25 us kernel) and
+    2.4-2.6 ms per 10x10 detect, against 0.9 and 1.8 ms with every
+    kernel on the loop.  The loop stalls for as long as the kernel
+    runs, so only bounded kernels qualify:
+
+    * behavioral distance, alone or batched: one ``measure_batch`` on
+      at most :data:`MAX_PAIRS_PER_REQUEST` pairs (``MIN_CHUNK_PAIRS``,
+      one chunk), which holds the loop ~4 ms at the cap -- validating
+      that request holds it longer;
+    * detect on at most ``MIN_CHUNK_PIXELS`` (1,024) interior pixels,
+      one chunk: 1-5 ms for a 38x38 image, noise being the slowest.
+
+    Physical distance (~2.2 s per pair), larger detect (a 256x256
+    image costs ~160 ms) and solve and factor (no cap bounds them) stay
+    on kernel threads, where ``--workers``, ``--timeout`` and
+    ``--retries`` bound them.  A loop-run kernel needs no retry (it
+    reruns the same arithmetic in process) and no finite check (the
+    validated inputs are finite, so are the answers).
+    """
+    if job.kind == "distance":
+        return job.params["mode"] == "behavioral"
+    if job.kind == "detect":
+        from ..oscillators.fast.oscillator_fast import MIN_CHUNK_PIXELS
+
+        image = job.params["image"]
+        interior = max(0, len(image) - 6) * max(0, len(image[0]) - 6)
+        return interior <= MIN_CHUNK_PIXELS
+    return False
+
+
+def _run_on_loop(batch):
+    """One result per job of ``batch``, computed on the calling thread.
+
+    ``batch`` is one job for which :func:`_runs_on_loop` holds, or
+    behavioral distance jobs the batcher merged; distance runs as one
+    :func:`_run_distance_batch` either way.
+    """
+    lead = batch[0]
+    if lead.kind == "distance":
+        return _run_traced(lead.trace_id, _run_distance_batch,
+                           lead.params["mode"],
+                           [job.params["pairs"] for job in batch])
+    return [_run_traced(lead.trace_id, _RUNNERS[lead.kind], lead.params,
+                        _LOOP_OPTIONS)]
+
+
 def _run_traced(trace_id, fn, *args):
-    """Run ``fn`` on an executor thread under the request's trace id.
+    """Run ``fn`` under the request's trace id.
 
     ``run_in_executor`` does not copy the submitting task's context, so
     the id is re-installed explicitly; every span the kernel (and the
@@ -362,6 +454,9 @@ class JobService:
         # Per-tenant mirrors for /v1/stats: past MAX_STAT_TENANTS
         # distinct tenants, new ones fold into the "other" bucket.
         self.tenant_stats = {}
+        self._kernel_options = {"workers": self.config.workers,
+                                "timeout": self.config.timeout,
+                                "retry": self.config.retries}
         self._dispatchers = []
         self._executor = None
         self._own_registry = None
@@ -489,7 +584,7 @@ class JobService:
                 admission.set_attr("outcome", "queued")
             return job
 
-    # -- dispatch (event-loop + thread-pool side) --------------------------
+    # -- dispatch (event loop and kernel threads) --------------------------
 
     async def _dispatch_loop(self):
         loop = asyncio.get_running_loop()
@@ -515,18 +610,17 @@ class JobService:
             self._tenant_bucket(lead.tenant)["executions"] += 1
             if registry.enabled:
                 registry.counter("serve.executions").inc()
+            on_loop = _runs_on_loop(lead)
             dispatch_start = (time.time(), time.perf_counter())
             status = "ok"
             try:
-                if len(batch) > 1:
-                    results = await loop.run_in_executor(
-                        self._executor, _run_traced, lead.trace_id,
-                        _run_distance_batch, lead.params["mode"],
-                        [job.params["pairs"] for job in batch])
+                if on_loop:
+                    results = _run_on_loop(batch)
                 else:
                     results = [await loop.run_in_executor(
                         self._executor, _run_traced, lead.trace_id,
-                        _RUNNERS[lead.kind], lead.params, self.config)]
+                        _RUNNERS[lead.kind], lead.params,
+                        self._kernel_options)]
             except asyncio.CancelledError:
                 for job in batch:
                     self._fail(job, ReproError("service shut down"))
@@ -542,6 +636,11 @@ class JobService:
                 self._emit_dispatch_span(registry, lead, batch, status,
                                          dispatch_start)
             self.table.prune()
+            if on_loop:
+                # The kernel ran without an await: let the handlers it
+                # just answered, and every other task, run before the
+                # next job, so queued loop-run jobs never chain.
+                await asyncio.sleep(0)
 
     def _emit_dispatch_span(self, registry, lead, batch, status, start):
         """Span event for one dispatch, under the lead job's trace.

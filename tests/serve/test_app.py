@@ -163,6 +163,29 @@ class TestErrors:
 
         asyncio.run(body())
 
+    def test_non_finite_or_overflowing_values_are_400(self):
+        """Python's json reads NaN and Infinity, and an integer too
+        large for a float overflows the conversion: each is a 400,
+        never a NaN in the response body or a 500."""
+        requests = (
+            {"kind": "distance",
+             "params": {"pairs": [[float("nan"), 1.0], [2.0, 3.0]]}},
+            {"kind": "detect", "params": {"image": [[10**400] * 8] * 8}},
+            {"kind": "detect", "params": {"image": [[1.0] * 8] * 8,
+                                          "threshold": float("inf")}},
+        )
+
+        async def body():
+            async with running_app() as app:
+                for request in requests:
+                    status, _, doc = await _request(
+                        app.port, "POST", "/v1/jobs",
+                        dict(request, wait=30))
+                    assert status == 400, doc
+                    assert "finite" in doc["error"]
+
+        asyncio.run(body())
+
     def test_unknown_job_is_404_and_bad_method_405(self):
         async def body():
             async with running_app() as app:

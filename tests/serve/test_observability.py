@@ -24,22 +24,22 @@ def _live_registry():
 
 class TestTraceContinuity:
     def test_one_request_one_trace_across_processes(self, capsys):
-        """The tentpole acceptance test: a distance request served with
+        """The tentpole acceptance test: a detect request served with
         two worker processes yields serve.http, serve.admission,
         serve.dispatch and parallel.chunk span events that all carry
         the same trace id, and the Chrome export preserves it in every
-        event's args -- one request, one trace, across processes.  The
-        four pairs are one chunk, which only a timed map sends to the
-        pool.
+        event's args -- one request, one trace, across processes.  A
+        40x40 image has 1,156 interior pixels: past one chunk, so it
+        runs on a kernel thread and its two chunks go to the pool.
         """
+        image = [[float((r * 31 + c * 7) % 97) for c in range(40)]
+                 for r in range(40)]
         with _live_registry() as (registry, sink):
             async def body():
                 async with running_app(workers=2, timeout=30) as app:
                     status, _, doc = await _request(
                         app.port, "POST", "/v1/jobs",
-                        {"kind": "distance",
-                         "params": {"pairs": [[1.0, 2.0], [3.0, 4.0],
-                                              [5.0, 6.0], [7.0, 8.0]]},
+                        {"kind": "detect", "params": {"image": image},
                          "wait": 30})
                     assert status == 200 and doc["state"] == "done"
                     return doc

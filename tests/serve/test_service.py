@@ -9,7 +9,9 @@ what makes the coalescing/batching/priority assertions deterministic.
 """
 
 import asyncio
+import collections
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -23,7 +25,10 @@ from repro.core.exceptions import (
     QuotaError,
     ResilienceError,
 )
+from repro.memcomputing import solver
 from repro.oscillators.distance import OscillatorDistanceUnit
+from repro.oscillators.fast.oscillator_fast import OscillatorFastDetector
+from repro.quantum.algorithms import shor
 from repro.serve import (DistanceBatcher, JobService, ServeConfig,
                          validate_request)
 from repro.serve.jobs import DONE, FAILED, JobTable
@@ -77,6 +82,26 @@ class TestValidation:
         with pytest.raises(JobValidationError, match="pixels"):
             validate_request("detect",
                              {"image": [[0.0] * 300 for _ in range(300)]})
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"), 10**400, -10**400,
+    ], ids=["nan", "inf", "-inf", "int-1e400", "int--1e400"])
+    @pytest.mark.parametrize("field", ["pairs", "image", "threshold"])
+    def test_non_finite_values_rejected(self, field, value):
+        """Python's json reads NaN and Infinity, and an integer too
+        large for a float overflows the conversion: each is a
+        validation error, never a NaN answer or a 500."""
+        image = [[float((r * 31 + c * 7) % 97) for c in range(10)]
+                 for r in range(10)]
+        if field == "pairs":
+            kind, params = "distance", {"pairs": [[1.0, 2.0], [value, 3.0]]}
+        elif field == "image":
+            image[5][5] = value
+            kind, params = "detect", {"image": image}
+        else:
+            kind, params = "detect", {"image": image, "threshold": value}
+        with pytest.raises(JobValidationError, match="finite"):
+            validate_request(kind, params)
 
     def test_identical_meaning_same_canonical_form(self):
         ints = validate_request("distance", {"pairs": [[1, 2]]})
@@ -220,6 +245,42 @@ class TestBatching:
             assert service.batched == 2
 
         run_service_test(body, job_concurrency=1)
+
+
+    def test_physical_jobs_dispatch_alone_with_the_service_options(
+            self, monkeypatch):
+        """A physical pair is an ODE integration (~2 s), so merging saves
+        nothing, and a merged call would escape the timeout: each
+        physical job reaches ``measure_pairs`` alone with the service's
+        workers, timeout and retries, whatever else is queued.  The
+        kernel is replaced, so the test integrates no ODE."""
+        calls = []
+
+        def fake_measure_pairs(unit, pairs, **options):
+            calls.append((unit.mode, len(pairs), options))
+            return [0.5] * len(pairs)
+
+        def fake_measure_batch(unit, a, b):
+            calls.append((unit.mode, len(a), "measure_batch"))
+            return np.full(np.shape(a), 0.5)
+
+        monkeypatch.setattr(OscillatorDistanceUnit, "measure_pairs",
+                            fake_measure_pairs)
+        monkeypatch.setattr(OscillatorDistanceUnit, "measure_batch",
+                            fake_measure_batch)
+
+        async def body(service):
+            jobs = [service.submit("distance", {"pairs": pairs,
+                                                "mode": "physical"})
+                    for pairs in ([[1.0, 2.0]], [[3.0, 4.0], [5.0, 6.0]])]
+            await asyncio.gather(*(job.future for job in jobs))
+            assert [job.state for job in jobs] == [DONE, DONE]
+            assert service.batched == 0
+            assert service.executions == 2
+
+        run_service_test(body, job_concurrency=1, timeout=5.0, cache=False)
+        options = {"cache": False, "workers": 1, "timeout": 5.0, "retry": 2}
+        assert calls == [("physical", 1, options), ("physical", 2, options)]
 
 
 class TestAdmission:
@@ -387,9 +448,6 @@ class TestStats:
             return job.result
 
         result = run_service_test(body)
-        from repro.oscillators.fast.oscillator_fast import (
-            OscillatorFastDetector,
-        )
         corners = OscillatorFastDetector(threshold=30.0).detect(image)
         assert result["corners"] == [[int(r), int(c)] for r, c in corners]
 
@@ -480,33 +538,148 @@ class TestResultStore:
         assert registry.snapshot()["cache.store_errors"]["value"] >= 1
 
 
-class TestWorkCounts:
-    """Serve's default ``retries=2`` sends every kernel call down the
-    chunked path; the chunked path runs only the work the answer reads:
-    a small request is one chunk, and order finding stops at its first
-    usable reading."""
+class TestWhereJobsRun:
+    """Behavioral distance and one-chunk detect run on the event-loop
+    thread; physical distance, larger detect, solve and factor run on a
+    ``repro-serve`` kernel thread.  The answers are the library's."""
+
+    DIMACS = "p cnf 3 2\n1 -2 0\n2 3 0\n"
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """Kernel name -> names of the threads that ran it.
+
+        Physical-mode ``measure_batch`` answers 0.5 instead of
+        integrating the ODE, so no test here pays for a simulation.
+        """
+        seen = collections.defaultdict(list)
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name].append(threading.current_thread().name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        measure_batch = OscillatorDistanceUnit.measure_batch
+
+        def measure_batch_or_fake(unit, a, b):
+            if unit.mode == "physical":
+                return np.full(np.shape(a), 0.5)
+            return measure_batch(unit, a, b)
+
+        monkeypatch.setattr(OscillatorDistanceUnit, "measure_batch",
+                            recording("measure_batch", measure_batch_or_fake))
+        monkeypatch.setattr(OscillatorFastDetector, "_scan",
+                            recording("_scan", OscillatorFastDetector._scan))
+        monkeypatch.setattr(solver, "solve_portfolio",
+                            recording("solve_portfolio",
+                                      solver.solve_portfolio))
+        monkeypatch.setattr(shor, "shor_factor",
+                            recording("shor_factor", shor.shor_factor))
+        return seen
 
     @staticmethod
-    def _grew(counter, kind, params):
+    def _serve(requests):
+        """Submit ``requests`` at once: ``(loop thread, results, batched)``."""
+        async def body(service):
+            jobs = [service.submit(kind, params) for kind, params in requests]
+            await asyncio.gather(*(job.future for job in jobs))
+            assert all(job.state == DONE for job in jobs), \
+                [job.error for job in jobs]
+            return (threading.current_thread().name,
+                    [job.result for job in jobs], service.batched)
+
+        return run_service_test(body, cache=False, job_concurrency=1)
+
+    def test_behavioral_distance_runs_on_the_loop(self, threads):
+        blocks = np.random.default_rng(6).uniform(0.0, 255.0, size=(3, 64, 2))
+        expected = [OscillatorDistanceUnit().measure_pairs(block)
+                    for block in blocks]
+        threads.clear()
+        loop, alone, batched = self._serve(
+            [("distance", {"pairs": blocks[0].tolist()})])
+        assert batched == 0
+        loop_again, merged, batched = self._serve(
+            [("distance", {"pairs": block.tolist()}) for block in blocks[1:]])
+        assert batched == 1
+        assert threads["measure_batch"] == [loop, loop_again]
+        assert [result["measures"] for result in alone + merged] == expected
+
+    @pytest.mark.parametrize("size", [10, 38])  # 16 and 1,024 pixels
+    def test_one_chunk_detect_runs_on_the_loop(self, threads, size):
+        image = np.random.default_rng(size).uniform(0.0, 255.0,
+                                                    size=(size, size))
+        corners = OscillatorFastDetector().detect(image)
+        threads.clear()
+        loop, (result,), _batched = self._serve(
+            [("detect", {"image": image.tolist()})])
+        assert threads["_scan"] == [loop]
+        assert result["corners"] == [[int(r), int(c)] for r, c in corners]
+
+    def test_larger_detect_runs_on_a_kernel_thread(self, threads):
+        # 39x39 has 1,089 interior pixels: two chunks
+        image = np.random.default_rng(39).uniform(0.0, 255.0, size=(39, 39))
+        corners = OscillatorFastDetector().detect(image)
+        threads.clear()
+        _loop, (result,), _batched = self._serve(
+            [("detect", {"image": image.tolist()})])
+        assert len(threads["_scan"]) == 2
+        assert all(name.startswith("repro-serve")
+                   for name in threads["_scan"])
+        assert result["corners"] == [[int(r), int(c)] for r, c in corners]
+
+    def test_unbounded_kernels_run_on_a_kernel_thread(self, threads):
+        self._serve([
+            ("distance", {"pairs": [[1.0, 2.0]], "mode": "physical"}),
+            ("solve", {"dimacs": self.DIMACS, "attempts": 2,
+                       "max_steps": 20000}),
+            ("factor", {"n": 15, "seed": 1}),
+        ])
+        for name in ("measure_batch", "solve_portfolio", "shor_factor"):
+            assert threads[name], name
+            assert all(thread.startswith("repro-serve")
+                       for thread in threads[name]), (name, threads[name])
+
+
+class TestWorkCounts:
+    """Serve's default ``retries=2`` sends every kernel-thread call down
+    the chunked path; the chunked path runs only the work the answer
+    reads, and order finding stops at its first usable reading.  A
+    distance request and a small detect request run on the event loop,
+    inline, and run no chunk at all."""
+
+    @staticmethod
+    def _serve(kind, params):
+        """``(registry, result)`` of one request served with no store."""
         async def body(service):
             job = service.submit(kind, params)
             await job.future
             assert job.state == DONE
+            return job.result
 
         registry = telemetry.MetricsRegistry()
         with telemetry.use_registry(registry):
-            run_service_test(body, cache=False)
+            result = run_service_test(body, cache=False)
+        return registry, result
+
+    @classmethod
+    def _grew(cls, counter, kind, params):
+        registry, _result = cls._serve(kind, params)
         return registry.counter(counter).value
 
-    def test_distance_request_runs_one_chunk(self):
+    def test_distance_request_runs_no_chunk(self):
         pairs = np.random.default_rng(4).uniform(0.0, 255.0, size=(64, 2))
-        assert self._grew("parallel.tasks", "distance",
-                          {"pairs": pairs.tolist()}) == 1
+        registry, result = self._serve("distance", {"pairs": pairs.tolist()})
+        assert registry.counter("parallel.tasks").value == 0
+        assert result["measures"] \
+            == OscillatorDistanceUnit().measure_pairs(pairs)
 
-    def test_detect_request_runs_one_chunk(self):
+    def test_detect_request_runs_no_chunk(self):
         image = np.random.default_rng(5).uniform(0.0, 255.0, size=(10, 10))
-        assert self._grew("parallel.tasks", "detect",
-                          {"image": image.tolist()}) == 1
+        registry, result = self._serve("detect", {"image": image.tolist()})
+        assert registry.counter("parallel.tasks").value == 0
+        corners = OscillatorFastDetector().detect(image)
+        assert result["corners"] == [[int(r), int(c)] for r, c in corners]
 
     def test_factor_request_stops_at_first_usable_reading(self):
         # seed 3 tries one base (11) through order finding; its second
