@@ -17,8 +17,9 @@ It speaks just enough HTTP for job submission and polling:
 
 Connections are keep-alive; bodies are JSON and capped at
 ``MAX_BODY_BYTES`` (413 beyond it).  All handling runs on the service's
-single event loop -- kernels run in the service's thread pool, so slow
-jobs never block new connections.
+single event loop -- kernels that can run long run in the service's
+thread pool, so slow jobs never block new connections; only kernels
+the request caps bound to a few milliseconds run on the loop.
 
 Every request is minted a ``trace_id`` before routing; it flows through
 ``submit()`` into the job, the dispatcher, and the worker pool, and the

@@ -368,18 +368,18 @@ def _runs_on_loop(job):
     kernel whose cost the request caps bound; every other job goes to a
     kernel thread.  Measured on a 2-vCPU host: an empty
     ``run_in_executor`` round trip costs ~140 us, and with the GIL
-    passing between the loop and two kernel threads the server spent
-    1.6-1.9 ms of CPU per distance request (a ~25 us kernel) and
-    2.4-2.6 ms per 10x10 detect, against 0.9 and 1.8 ms with every
-    kernel on the loop.  The loop stalls for as long as the kernel
-    runs, so only bounded kernels qualify:
+    passing between the loop and the kernel threads the server spent
+    ~1.5 ms of CPU per distance request (a ~25 us kernel) and
+    1.3-1.9 ms per 10x10 detect, against ~0.95 and 1.1-1.3 ms with
+    those kernels on the loop.  The loop stalls for as long as the
+    kernel runs, so only bounded kernels qualify:
 
     * behavioral distance, alone or batched: one ``measure_batch`` on
       at most :data:`MAX_PAIRS_PER_REQUEST` pairs (``MIN_CHUNK_PAIRS``,
-      one chunk), which holds the loop ~4 ms at the cap -- validating
-      that request holds it longer;
+      one chunk), which holds the loop ~2-4 ms at the cap -- about as
+      long as validating that request;
     * detect on at most ``MIN_CHUNK_PIXELS`` (1,024) interior pixels,
-      one chunk: 1-5 ms for a 38x38 image, noise being the slowest.
+      one chunk: ~5 ms median for a 38x38 noise image, the slowest.
 
     Physical distance (~2.2 s per pair), larger detect (a 256x256
     image costs ~160 ms) and solve and factor (no cap bounds them) stay

@@ -543,8 +543,6 @@ class TestWhereJobsRun:
     thread; physical distance, larger detect, solve and factor run on a
     ``repro-serve`` kernel thread.  The answers are the library's."""
 
-    DIMACS = "p cnf 3 2\n1 -2 0\n2 3 0\n"
-
     @pytest.fixture
     def threads(self, monkeypatch):
         """Kernel name -> names of the threads that ran it.
@@ -605,7 +603,7 @@ class TestWhereJobsRun:
         assert threads["measure_batch"] == [loop, loop_again]
         assert [result["measures"] for result in alone + merged] == expected
 
-    @pytest.mark.parametrize("size", [10, 38])  # 16 and 1,024 pixels
+    @pytest.mark.parametrize("size", [10, 38])  # interior pixels: 16, 1,024
     def test_one_chunk_detect_runs_on_the_loop(self, threads, size):
         image = np.random.default_rng(size).uniform(0.0, 255.0,
                                                     size=(size, size))
@@ -631,7 +629,7 @@ class TestWhereJobsRun:
     def test_unbounded_kernels_run_on_a_kernel_thread(self, threads):
         self._serve([
             ("distance", {"pairs": [[1.0, 2.0]], "mode": "physical"}),
-            ("solve", {"dimacs": self.DIMACS, "attempts": 2,
+            ("solve", {"dimacs": TestResultStore.DIMACS, "attempts": 2,
                        "max_steps": 20000}),
             ("factor", {"n": 15, "seed": 1}),
         ])
