@@ -379,7 +379,7 @@ def _runs_on_loop(job):
       one chunk), which holds the loop ~2-4 ms at the cap -- about as
       long as validating that request;
     * detect on at most ``MIN_CHUNK_PIXELS`` (1,024) interior pixels,
-      one chunk: ~5 ms median for a 38x38 noise image, the slowest.
+      one chunk: ~5-8 ms median for a 38x38 noise image, the slowest.
 
     Physical distance (~2.2 s per pair), larger detect (a 256x256
     image costs ~160 ms) and solve and factor (no cap bounds them) stay

@@ -614,6 +614,35 @@ class TestWhereJobsRun:
         assert threads["_scan"] == [loop]
         assert result["corners"] == [[int(r), int(c)] for r, c in corners]
 
+    def test_other_tasks_run_between_loop_run_jobs(self):
+        """Queued loop-run jobs never run back to back: the dispatcher
+        yields after each, so other tasks (HTTP handlers, health
+        checks) get the loop between two of them."""
+        rng = np.random.default_rng(8)
+        images = [rng.uniform(0.0, 255.0, size=(10, 10)).tolist()
+                  for _ in range(3)]
+
+        async def body(service):
+            events = []
+            jobs = [service.submit("detect", {"image": image})
+                    for image in images]
+            for job in jobs:
+                job.future.add_done_callback(
+                    lambda _future: events.append("job"))
+
+            async def ticker():
+                while events.count("job") < len(jobs):
+                    events.append("tick")
+                    await asyncio.sleep(0)
+
+            await asyncio.gather(ticker(), *(job.future for job in jobs))
+            return events
+
+        events = run_service_test(body, cache=False, job_concurrency=1)
+        assert events.count("job") == 3
+        assert ["job", "job"] not in [events[i:i + 2]
+                                      for i in range(len(events) - 1)]
+
     def test_larger_detect_runs_on_a_kernel_thread(self, threads):
         # 39x39 has 1,089 interior pixels: two chunks
         image = np.random.default_rng(39).uniform(0.0, 255.0, size=(39, 39))
