@@ -13,7 +13,8 @@ bound its backlog:
   jobs queued or running at once
   (:class:`~repro.core.exceptions.QuotaError`), so a single chatty
   caller cannot starve the rest.  Coalesced followers and cache hits
-  never count against the quota -- they cost no execution;
+  never count against the quota -- they cost no execution -- and
+  neither do bounded jobs, which run at submission without queueing;
 * **priorities** -- lower number runs first (0 is most urgent, default
   5), FIFO within one priority level via a monotonic sequence number,
   so equal-priority jobs never starve each other.
@@ -111,25 +112,6 @@ class AdmissionQueue:
                 return job
             self._wakeup.clear()
             await self._wakeup.wait()
-
-    def take_matching(self, predicate, limit):
-        """Remove and return up to ``limit`` queued jobs matching
-        ``predicate``, in priority order (the batcher's drain).
-        """
-        if limit <= 0 or not self._heap:
-            return []
-        taken, kept = [], []
-        for entry in sorted(self._heap):
-            job = entry[2]
-            if len(taken) < limit and predicate(job):
-                taken.append(job)
-            else:
-                kept.append(entry)
-        if taken:
-            heapq.heapify(kept)
-            self._heap = kept
-            self._record_depth()
-        return taken
 
     def _record_depth(self):
         registry = telemetry.get_registry()

@@ -5,9 +5,10 @@ no web framework, because the repo's only runtime dependency is numpy.
 It speaks just enough HTTP for job submission and polling:
 
 * ``POST /v1/jobs`` -- submit ``{"kind", "params", "tenant"?,
-  "priority"?, "wait"?}``.  Returns 202 with the job document, or 200
-  with the finished document when ``wait`` (seconds) is given and the
-  job completes in time.  400 on validation errors, 429 (with
+  "priority"?, "wait"?}``.  Returns 200 with the finished document when
+  the job finished at submission (a bounded kernel, a store hit) or
+  within ``wait`` seconds, else 202 with the job document.  400 on
+  validation errors (a non-finite ``wait`` included), 429 (with
   ``Retry-After``) on backpressure.
 * ``GET /v1/jobs/<id>`` -- job status; ``?wait=SECONDS`` long-polls
   until completion or the deadline.  404 for unknown ids.
@@ -19,16 +20,18 @@ Connections are keep-alive; bodies are JSON and capped at
 ``MAX_BODY_BYTES`` (413 beyond it).  All handling runs on the service's
 single event loop -- kernels that can run long run in the service's
 thread pool, so slow jobs never block new connections; only kernels
-the request caps bound to a few milliseconds run on the loop.
+the request caps bound to a few milliseconds run on the loop, inside
+the handler that received the request.
 
 Every request is minted a ``trace_id`` before routing; it flows through
-``submit()`` into the job, the dispatcher, and the worker pool, and the
+``submit()`` into the job, its execution, and the worker pool, and the
 request's handling itself is recorded as a ``serve.http`` span under
 the same id (see ``docs/observability.md``).
 """
 
 import asyncio
 import json
+import math
 import time
 
 from ..core import telemetry, tracing
@@ -283,7 +286,7 @@ class ServeApp:
             raise _HttpError(400, str(error)) from None
         except (QueueFullError, QuotaError) as error:
             raise _HttpError(429, str(error), retry_after=1) from None
-        if wait:
+        if wait and not job.finished:
             await self._await_job(job, wait)
         return (200 if job.finished else 202), job.describe()
 
@@ -306,9 +309,12 @@ class ServeApp:
             return None
         try:
             wait = float(raw)
-        except (TypeError, ValueError):
-            raise _HttpError(400, "'wait' must be a number of seconds"
-                             ) from None
+        except (TypeError, ValueError, OverflowError):
+            wait = math.nan
+        if not math.isfinite(wait):
+            # NaN would reach wait_for as a NaN deadline.
+            raise _HttpError(400, "'wait' must be a finite number of "
+                             "seconds")
         if wait <= 0:
             return None
         return min(wait, MAX_WAIT_SECONDS)

@@ -1,9 +1,9 @@
 """Job records and the in-memory job table for ``repro serve``.
 
 A job is one accepted request: it gets a stable id, a lifecycle state
-(``queued -> running -> done | failed``), and an :class:`asyncio.Future`
-that resolves when the job finishes (the HTTP layer's long-poll and the
-dispatcher's bookkeeping both await it).  Jobs that join an identical
+(``queued -> running -> done | failed``; a job run at submission is
+never ``queued``), and an :class:`asyncio.Future` that resolves when the
+job finishes (the HTTP layer's long-poll awaits it).  Jobs that join an identical
 in-flight computation (request coalescing, see
 :mod:`repro.serve.coalesce`) carry ``coalesced_with`` naming the
 primary job whose single execution produced their result.
@@ -56,9 +56,8 @@ class Job:
         self.future = None      # created by the service's event loop
         self.trace_id = trace_id
         # Trace of the execution this job's result actually came from:
-        # set for coalesced followers (the primary's trace) and for
-        # batch riders (the batch lead's trace); None when this job's
-        # own trace did the work.
+        # set for coalesced followers (the primary's trace); None when
+        # this job's own trace did the work.
         self.joined_trace = None
 
     @property

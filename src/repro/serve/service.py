@@ -2,13 +2,14 @@
 
 :class:`JobService` is the transport-independent core behind the HTTP
 app (:mod:`repro.serve.app`): callers ``submit()`` jobs on the event
-loop and await their futures; a small set of dispatcher coroutines pops
-admitted jobs off the :class:`~repro.serve.admission.AdmissionQueue`
-and runs them.  A kernel whose cost the request caps bound to a few
-milliseconds (behavioral distance, detect on a small image) runs on the
-event loop itself, where it costs less than a thread hop; every other
-kernel runs in a thread pool, so the loop keeps serving while it
-computes (:func:`_runs_on_loop`).  Kernel fan-out rides the library's
+loop and await their futures.  A kernel whose cost the request caps
+bound to a few milliseconds (behavioral distance, detect on a small
+image) runs to completion inside ``submit()`` itself, where it costs
+less than any hand-off; every other kernel is queued, and a small set
+of dispatcher coroutines pops it off the
+:class:`~repro.serve.admission.AdmissionQueue` and runs it in a thread
+pool, so the loop keeps serving while it computes
+(:func:`_runs_on_loop`).  Kernel fan-out rides the library's
 persistent :class:`~repro.core.parallel.WorkerPool` -- one pool reused
 across all requests -- whose rounds are serialized internally, so
 concurrent jobs are safe and the pool's crash/timeout recovery (plus
@@ -25,10 +26,10 @@ One submission takes at most one of these paths, in order:
    disk tier, shared across tenants -- the fingerprint, not the tenant,
    addresses results): finish immediately (``serve.cache_hits``, plus
    the cache's own ``cache.hits``);
-3. **admit** -- enter the priority queue, subject to depth and tenant
-   quota (:mod:`repro.serve.admission`); compatible queued distance
-   jobs may later merge into one vectorized call
-   (:mod:`repro.serve.coalesce`).
+3. **run at submit** -- a bounded kernel runs on the calling thread and
+   the job comes back finished: no queue slot, no quota unit;
+4. **admit** -- enter the priority queue, subject to depth and tenant
+   quota (:mod:`repro.serve.admission`).
 
 Results are plain JSON documents, so they cache, coalesce, and ship
 over HTTP identically.  Failures are never cached and never shared
@@ -57,7 +58,7 @@ from .admission import (
     MIN_PRIORITY,
     AdmissionQueue,
 )
-from .coalesce import Coalescer, DistanceBatcher
+from .coalesce import Coalescer
 from .jobs import DONE, FAILED, RUNNING, JobTable
 
 #: Request size caps -- admission control starts at validation: a
@@ -107,14 +108,14 @@ class ServeConfig:
     queue_depth, tenant_quota : int
         Admission bounds (:mod:`repro.serve.admission`).
     job_concurrency : int
-        Dispatcher coroutines / kernel threads running jobs at once; a
-        job on the event loop holds its dispatcher too.  Pool rounds
-        are serialized internally, so this bounds queueing ahead of the
-        pool, not parallelism inside it.
+        Dispatcher coroutines / kernel threads running kernel-thread
+        jobs at once.  A bounded job runs at submission and holds none
+        of them.  Pool rounds are serialized internally, so this bounds
+        queueing ahead of the pool, not parallelism inside it.
 
     ``workers``, ``timeout`` and ``retries`` apply to the jobs that run
-    on a kernel thread; the few-millisecond kernels that run on the
-    event loop take none of them (see :func:`_runs_on_loop`).
+    on a kernel thread; the few-millisecond kernels that run at
+    submission take none of them (see :func:`_runs_on_loop`).
     """
 
     def __init__(self, workers=None, timeout=None, retries=2, cache=None,
@@ -183,8 +184,20 @@ def validate_request(kind, params):
     The canonical form is what gets fingerprinted, so two requests that
     mean the same workload always share a cache key regardless of JSON
     spelling (e.g. ``2`` vs ``2.0`` intensities).  Intensities and the
-    threshold must be finite, so no answer carries a NaN.
+    threshold must be finite, so no answer carries a NaN.  Pairs and
+    images come back as lists of floats.
     """
+    canonical = _validated(kind, params)
+    for name in ("pairs", "image"):
+        if name in canonical:
+            canonical[name] = canonical[name].tolist()
+    return canonical
+
+
+def _validated(kind, params):
+    """:func:`validate_request`'s canonical form, with the pairs or image
+    kept as the one float64 array validation built, for the fingerprint
+    and the kernel to share."""
     _require(kind in KINDS,
              "unknown job kind %r; expected one of %s" % (kind,
                                                           ", ".join(KINDS)))
@@ -221,7 +234,7 @@ def validate_request(kind, params):
                  and _numbers_only(itertools.chain.from_iterable(pairs)),
                  "each pair must be [a, b] with numeric intensities")
         canonical = _finite_floats(
-            pairs, "'pairs' intensities must be finite numbers").tolist()
+            pairs, "'pairs' intensities must be finite numbers")
         mode = params.get("mode", "behavioral")
         _require(mode in ("behavioral", "physical"),
                  "'mode' must be 'behavioral' or 'physical'")
@@ -239,7 +252,7 @@ def validate_request(kind, params):
     _require(_numbers_only(itertools.chain.from_iterable(image)),
              "'image' values must be numeric")
     canonical = _finite_floats(
-        image, "'image' values must be finite numbers").tolist()
+        image, "'image' values must be finite numbers")
     threshold = params.get("threshold", 30.0)
     message = "'threshold' must be a positive, finite number"
     _require(_numbers_only([threshold])
@@ -250,23 +263,22 @@ def validate_request(kind, params):
 
 
 def _fingerprint_meta(kind, params):
-    """Fingerprint meta: bulky payloads enter as content hashes.
+    """Fingerprint meta of :func:`_validated` params: bulky payloads
+    enter as content hashes.
 
-    The canonical pairs and image hash as float64 arrays by their raw
-    bytes (:func:`~repro.core.cache.array_fingerprint`), which also
-    pins their shape.
+    The pairs and image hash as the float64 arrays validation built, by
+    their raw bytes (:func:`~repro.core.cache.array_fingerprint`), which
+    also pins their shape.
     """
     meta = dict(params)
     if kind == "solve":
         meta["dimacs"] = result_cache.digest(params["dimacs"])
     elif kind == "distance":
-        meta["pairs"] = result_cache.array_fingerprint(
-            np.asarray(params["pairs"], dtype=float))
+        meta["pairs"] = result_cache.array_fingerprint(params["pairs"])
         meta["count"] = len(params["pairs"])
     elif kind == "detect":
-        meta["image"] = result_cache.array_fingerprint(
-            np.asarray(params["image"], dtype=float))
-        meta["shape"] = [len(params["image"]), len(params["image"][0])]
+        meta["image"] = result_cache.array_fingerprint(params["image"])
+        meta["shape"] = list(params["image"].shape)
     return meta
 
 
@@ -277,10 +289,11 @@ def _fingerprint_meta(kind, params):
 # kernel-level entries keyed inside one request could serve no other.
 # ``options`` are the kernel's ``workers``, ``timeout`` and ``retry``
 # from the :class:`ServeConfig` for a job on a kernel thread, and
-# :data:`_LOOP_OPTIONS` for a job on the event loop.
+# :data:`_LOOP_OPTIONS` for a job run at submission.  The pairs and the
+# image arrive as the float64 arrays :func:`_validated` built.
 
-#: Kernel options of a job run on the event loop: inline, so neither a
-#: pool round trip nor ``REPRO_WORKERS`` can reach the loop.
+#: Kernel options of a job run at submission, on the event loop: inline,
+#: so neither a pool round trip nor ``REPRO_WORKERS`` can reach the loop.
 _LOOP_OPTIONS = {"workers": 1}
 
 
@@ -318,15 +331,14 @@ def _run_factor(params, options):
 def _run_detect(params, options):
     from ..oscillators.fast.oscillator_fast import OscillatorFastDetector
 
-    image = np.asarray(params["image"], dtype=float)
     detector = OscillatorFastDetector(threshold=params["threshold"],
                                       n=params["n"])
-    corners = detector.detect(image, cache=False, **options)
+    corners = detector.detect(params["image"], cache=False, **options)
     return {"corners": [[int(row), int(col)] for row, col in corners],
             "count": len(corners)}
 
 
-def _run_distance_single(params, options):
+def _run_distance(params, options):
     from ..oscillators.distance import OscillatorDistanceUnit
 
     unit = OscillatorDistanceUnit(mode=params["mode"])
@@ -335,49 +347,45 @@ def _run_distance_single(params, options):
             "count": len(measures), "mode": params["mode"]}
 
 
-def _run_distance_batch(mode, pair_lists):
-    """One vectorized ``measure_batch`` call covering every job's pairs.
+def _run_behavioral_distance(params):
+    """One ``measure_batch`` over the request's pairs.
 
-    Bit-identical to per-job evaluation (the PR 7 equivalence tier
-    guarantees ``measure_batch == measure`` element-wise), so batching
-    never changes results -- only how many kernel invocations happen.
+    Bit-identical to ``measure_pairs`` (the equivalence tier guarantees
+    ``measure_batch == measure`` element-wise), without its entry.
     """
     from ..oscillators.distance import OscillatorDistanceUnit
 
-    unit = OscillatorDistanceUnit(mode=mode)
-    flat = np.asarray([pair for pairs in pair_lists for pair in pairs],
-                      dtype=float).reshape(-1, 2)
-    values = unit.measure_batch(flat[:, 0], flat[:, 1])
-    results, offset = [], 0
-    for pairs in pair_lists:
-        block = values[offset:offset + len(pairs)]
-        results.append({"measures": [float(value) for value in block],
-                        "count": len(pairs), "mode": mode})
-        offset += len(pairs)
-    return results
+    pairs = params["pairs"]
+    values = OscillatorDistanceUnit(mode="behavioral").measure_batch(
+        pairs[:, 0], pairs[:, 1])
+    return {"measures": values.tolist(), "count": len(pairs),
+            "mode": "behavioral"}
 
 
 _RUNNERS = {"solve": _run_solve, "factor": _run_factor,
-            "detect": _run_detect, "distance": _run_distance_single}
+            "detect": _run_detect, "distance": _run_distance}
 
 
 def _runs_on_loop(job):
-    """Whether ``job``'s kernel runs on the event-loop thread.
+    """Whether ``job``'s kernel runs at submission, on the event loop.
 
-    A job runs on the loop when its kernel is one chunk of an RNG-free
-    kernel whose cost the request caps bound; every other job goes to a
-    kernel thread.  Measured on a 2-vCPU host: an empty
-    ``run_in_executor`` round trip costs ~140 us, and with the GIL
-    passing between the loop and the kernel threads the server spent
-    ~1.5 ms of CPU per distance request (a ~25 us kernel) and
-    1.3-1.9 ms per 10x10 detect, against ~0.95 and 1.1-1.3 ms with
-    those kernels on the loop.  The loop stalls for as long as the
-    kernel runs, so only bounded kernels qualify:
+    A job runs inside :meth:`JobService.submit` when its kernel is one
+    chunk of an RNG-free kernel whose cost the request caps bound; every
+    other job is queued for a kernel thread.  Measured on a 2-vCPU
+    host: an empty ``run_in_executor`` round trip costs ~140 us, and
+    with the GIL passing between the loop and the kernel threads the
+    server spent ~1.5 ms of CPU per distance request (a ~25 us kernel)
+    and 1.3-1.9 ms per 10x10 detect, against ~0.95 and 1.1-1.3 ms with
+    those kernels on the loop.  Queueing such a job for a dispatcher
+    coroutine instead still cost ~70-170 us of the ~420 us the service
+    spent on a 64-pair distance request, and made it wait behind
+    kernel-thread jobs whenever every dispatcher held one.  The loop
+    stalls for as long as the kernel runs, so only bounded kernels
+    qualify:
 
-    * behavioral distance, alone or batched: one ``measure_batch`` on
-      at most :data:`MAX_PAIRS_PER_REQUEST` pairs (``MIN_CHUNK_PAIRS``,
-      one chunk), which holds the loop ~2-4 ms at the cap -- about as
-      long as validating that request;
+    * behavioral distance: one ``measure_batch`` on at most
+      :data:`MAX_PAIRS_PER_REQUEST` pairs (``MIN_CHUNK_PAIRS``, one
+      chunk), ~2-4 ms at the cap -- less than parsing that request;
     * detect on at most ``MIN_CHUNK_PIXELS`` (1,024) interior pixels,
       one chunk: ~5-8 ms median for a 38x38 noise image, the slowest.
 
@@ -393,26 +401,17 @@ def _runs_on_loop(job):
     if job.kind == "detect":
         from ..oscillators.fast.oscillator_fast import MIN_CHUNK_PIXELS
 
-        image = job.params["image"]
-        interior = max(0, len(image) - 6) * max(0, len(image[0]) - 6)
-        return interior <= MIN_CHUNK_PIXELS
+        rows, cols = job.params["image"].shape
+        return max(0, rows - 6) * max(0, cols - 6) <= MIN_CHUNK_PIXELS
     return False
 
 
-def _run_on_loop(batch):
-    """One result per job of ``batch``, computed on the calling thread.
-
-    ``batch`` is one job for which :func:`_runs_on_loop` holds, or
-    behavioral distance jobs the batcher merged; distance runs as one
-    :func:`_run_distance_batch` either way.
-    """
-    lead = batch[0]
-    if lead.kind == "distance":
-        return _run_traced(lead.trace_id, _run_distance_batch,
-                           lead.params["mode"],
-                           [job.params["pairs"] for job in batch])
-    return [_run_traced(lead.trace_id, _RUNNERS[lead.kind], lead.params,
-                        _LOOP_OPTIONS)]
+def _run_on_loop(job):
+    """``job``'s result, computed on the calling thread
+    (:func:`_runs_on_loop` holds for it)."""
+    if job.kind == "distance":
+        return _run_behavioral_distance(job.params)
+    return _RUNNERS[job.kind](job.params, _LOOP_OPTIONS)
 
 
 def _run_traced(trace_id, fn, *args):
@@ -435,7 +434,6 @@ class JobService:
         self.queue = AdmissionQueue(max_depth=self.config.queue_depth,
                                     tenant_quota=self.config.tenant_quota)
         self.coalescer = Coalescer()
-        self.batcher = DistanceBatcher()
         if self.config.cache is False:
             self.cache = None
         else:
@@ -447,6 +445,8 @@ class JobService:
         self.requests = 0
         self.coalesced = 0
         self.cache_hits = 0
+        # Always 0 -- no job rides along in another job's execution --
+        # and kept because /v1/stats clients read the field.
         self.batched = 0
         self.executions = 0
         self.completed = 0
@@ -490,8 +490,9 @@ class JobService:
             self._executor.shutdown(wait=True)
             self._executor = None
         while self.queue.depth:
-            job = self.queue.take_matching(lambda _job: True, 1)[0]
+            job = await self.queue.pop()    # does not wait: depth > 0
             self._fail(job, ReproError("service shut down"))
+            self._release(job)
         if self._own_registry is not None \
                 and telemetry.get_registry() is self._own_registry:
             telemetry.set_registry(None)
@@ -503,6 +504,10 @@ class JobService:
                trace_id=None):
         """Accept one request; returns its :class:`Job`.
 
+        A job whose kernel is bounded (:func:`_runs_on_loop`) runs here,
+        on the calling thread, and comes back finished -- done, or
+        failed with the kernel's error -- as do store hits; any other
+        job comes back queued or, joined to an identical one, coalesced.
         Raises :class:`~repro.core.exceptions.JobValidationError` (bad
         request), :class:`~repro.core.exceptions.QueueFullError`, or
         :class:`~repro.core.exceptions.QuotaError` (backpressure).
@@ -521,7 +526,7 @@ class JobService:
         if not isinstance(tenant, str) or not tenant or len(tenant) > 64:
             raise JobValidationError(
                 "'tenant' must be a non-empty string of <= 64 characters")
-        params = validate_request(kind, params)
+        params = _validated(kind, params)
         if trace_id is None:
             trace_id = tracing.new_trace_id()
         registry = telemetry.get_registry()
@@ -572,82 +577,90 @@ class JobService:
                         admission.set_attr("outcome", "cache_hit")
                     return job
 
-            try:
-                self.queue.push(job)
-            except ReproError:
-                self.table.drop(job.id)
-                if admission:
-                    admission.set_attr("outcome", "rejected")
-                raise
-            self.coalescer.register(key, job)
+            # A bounded job finishes before anything could join it, so it
+            # takes no queue slot, no quota unit and no coalescer entry.
+            inline = _runs_on_loop(job)
+            if not inline:
+                try:
+                    self.queue.push(job)
+                except ReproError:
+                    self.table.drop(job.id)
+                    if admission:
+                        admission.set_attr("outcome", "rejected")
+                    raise
+                self.coalescer.register(key, job)
             if admission:
-                admission.set_attr("outcome", "queued")
-            return job
+                admission.set_attr("outcome",
+                                   "inline" if inline else "queued")
+        if inline:
+            start = self._start(job)
+            try:
+                result = _run_traced(job.trace_id, _run_on_loop, job)
+            except Exception as error:  # noqa: BLE001 -- the job absorbs it
+                self._end(job, start, error=error)
+            else:
+                self._end(job, start, result=result)
+        return job
 
     # -- dispatch (event loop and kernel threads) --------------------------
 
     async def _dispatch_loop(self):
+        """Run queued jobs, one at a time, on a kernel thread."""
         loop = asyncio.get_running_loop()
         while True:
-            lead = await self.queue.pop()
-            batch = self.batcher.gather(lead, self.queue)
-            registry = telemetry.get_registry()
-            if len(batch) > 1:
-                self.batched += len(batch) - 1
-                if registry.enabled:
-                    registry.counter("serve.batched").inc(len(batch) - 1)
-                    registry.histogram("serve.batch.pairs").observe(
-                        sum(len(job.params["pairs"]) for job in batch))
-                for rider in batch[1:]:
-                    # The lead's trace is the one that executes; riders
-                    # keep their own id but record whose ride they took.
-                    rider.joined_trace = lead.trace_id
-                    self._tenant_bucket(rider.tenant)["batched"] += 1
-            for job in batch:
-                job.state = RUNNING
-                job.started_at = time.monotonic()
-            self.executions += 1
-            self._tenant_bucket(lead.tenant)["executions"] += 1
-            if registry.enabled:
-                registry.counter("serve.executions").inc()
-            on_loop = _runs_on_loop(lead)
-            dispatch_start = (time.time(), time.perf_counter())
-            status = "ok"
+            job = await self.queue.pop()
+            start = self._start(job)
             try:
-                if on_loop:
-                    results = _run_on_loop(batch)
-                else:
-                    results = [await loop.run_in_executor(
-                        self._executor, _run_traced, lead.trace_id,
-                        _RUNNERS[lead.kind], lead.params,
-                        self._kernel_options)]
+                result = await loop.run_in_executor(
+                    self._executor, _run_traced, job.trace_id,
+                    _RUNNERS[job.kind], job.params, self._kernel_options)
             except asyncio.CancelledError:
-                for job in batch:
-                    self._fail(job, ReproError("service shut down"))
+                self._fail(job, ReproError("service shut down"))
+                self._release(job)
                 raise
             except Exception as error:  # noqa: BLE001 -- jobs absorb it
-                status = "error"
-                for job in batch:
-                    self._fail(job, error)
+                self._end(job, start, error=error)
             else:
-                for job, result in zip(batch, results):
-                    self._finish(job, result)
-            if registry.enabled:
-                self._emit_dispatch_span(registry, lead, batch, status,
-                                         dispatch_start)
-            self.table.prune()
-            if on_loop:
-                # The kernel ran without an await: let the handlers it
-                # just answered, and every other task, run before the
-                # next job, so queued loop-run jobs never chain.
-                await asyncio.sleep(0)
+                self._end(job, start, result=result)
+            self._release(job)
 
-    def _emit_dispatch_span(self, registry, lead, batch, status, start):
-        """Span event for one dispatch, under the lead job's trace.
+    def _start(self, job):
+        """Mark ``job`` running and count its execution; returns the
+        ``(wall, perf)`` start of its dispatch span."""
+        job.state = RUNNING
+        job.started_at = time.monotonic()
+        self.executions += 1
+        self._tenant_bucket(job.tenant)["executions"] += 1
+        registry = telemetry.get_registry()
+        if registry.enabled:
+            registry.counter("serve.executions").inc()
+        return time.time(), time.perf_counter()
 
-        Built by hand rather than with a stack span: the dispatch
-        straddles an ``await``, so other tasks' spans could interleave
-        with a real per-thread span stack.
+    def _end(self, job, start, result=None, error=None):
+        """Settle ``job`` from its run, emit its dispatch span, prune."""
+        if error is None:
+            self._finish(job, result)
+        else:
+            self._fail(job, error)
+        registry = telemetry.get_registry()
+        if registry.enabled:
+            self._emit_dispatch_span(registry, job,
+                                     "ok" if error is None else "error",
+                                     start)
+        self.table.prune()
+
+    def _release(self, job):
+        """A queued job left the service: stop attracting joins to it
+        and return its tenant's quota unit."""
+        self.coalescer.resolve(job.key)
+        self.queue.release(job.tenant)
+
+    def _emit_dispatch_span(self, registry, job, status, start):
+        """Span event for one execution, under the job's trace.
+
+        Built by hand rather than with a stack span: a kernel-thread
+        dispatch straddles an ``await``, so other tasks' spans could
+        interleave with a real per-thread span stack.
         """
         start_ts, start_perf = start
         duration = time.perf_counter() - start_perf
@@ -660,11 +673,10 @@ class JobService:
             "depth": 0,
             "parent": None,
             "status": status,
-            "attrs": {"job": lead.id, "kind": lead.kind,
-                      "jobs": len(batch)},
+            "attrs": {"job": job.id, "kind": job.kind, "jobs": 1},
         }
-        if lead.trace_id is not None:
-            event["trace"] = lead.trace_id
+        if job.trace_id is not None:
+            event["trace"] = job.trace_id
         registry.emit(event)
 
     # -- completion --------------------------------------------------------
@@ -676,16 +688,12 @@ class JobService:
         self._settle(job, DONE, result=result)
         for follower in job.followers:
             self._settle(follower, DONE, result=copy.deepcopy(result))
-        self.coalescer.resolve(job.key)
-        self.queue.release(job.tenant)
 
     def _fail(self, job, error):
         detail = "%s: %s" % (type(error).__name__, error)
         self._settle(job, FAILED, error=detail)
         for follower in job.followers:
             self._settle(follower, FAILED, error=detail)
-        self.coalescer.resolve(job.key)
-        self.queue.release(job.tenant)
 
     def _settle(self, job, state, result=None, error=None):
         registry = telemetry.get_registry()
@@ -723,8 +731,7 @@ class JobService:
                 return self._tenant_bucket("other")
             bucket = self.tenant_stats[tenant] = {
                 "requests": 0, "coalesced": 0, "cache_hits": 0,
-                "batched": 0, "executions": 0, "completed": 0,
-                "failed": 0,
+                "executions": 0, "completed": 0, "failed": 0,
             }
         return bucket
 
@@ -741,8 +748,8 @@ class JobService:
             "failed": self.failed,
             "queue_depth": self.queue.depth,
             "jobs": self.table.stats(),
-            "coalesce_ratio": (self.coalesced + self.cache_hits
-                               + self.batched) / max(1, self.requests),
+            "coalesce_ratio": (self.coalesced + self.cache_hits)
+            / max(1, self.requests),
             "requests_per_execution": self.requests / executed,
             "tenants": {tenant: dict(bucket)
                         for tenant, bucket

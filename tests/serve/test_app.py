@@ -9,6 +9,9 @@ import asyncio
 import contextlib
 import json
 
+import pytest
+
+from repro.oscillators.distance import OscillatorDistanceUnit
 from repro.serve import JobService, ServeApp, ServeConfig
 
 
@@ -93,6 +96,43 @@ class TestEndpoints:
                 assert status == 200
                 assert doc["state"] == "done"
                 assert len(doc["result"]["measures"]) == 1
+
+        asyncio.run(body())
+
+    def test_bounded_request_without_wait_is_answered_200(self):
+        """A bounded job runs at submission, so even without ``wait``
+        the answer is the finished document."""
+        async def body():
+            async with running_app() as app:
+                status, _, doc = await _request(
+                    app.port, "POST", "/v1/jobs",
+                    {"kind": "distance", "params": {"pairs": [[1.0, 2.0]]}})
+                assert status == 200 and doc["state"] == "done"
+                assert doc["result"]["measures"] \
+                    == OscillatorDistanceUnit().measure_pairs([[1.0, 2.0]])
+
+        asyncio.run(body())
+
+    def test_failing_bounded_kernel_is_200_failed(self, monkeypatch):
+        def broken(unit, a, b):
+            raise FloatingPointError("kernel fault")
+
+        monkeypatch.setattr(OscillatorDistanceUnit, "measure_batch", broken)
+
+        async def body():
+            async with running_app() as app:
+                status, _, doc = await _request(
+                    app.port, "POST", "/v1/jobs",
+                    {"kind": "distance", "params": {"pairs": [[1.0, 2.0]]},
+                     "wait": 30})
+                assert status == 200 and doc["state"] == "failed"
+                assert "kernel fault" in doc["error"]
+                # The connection handler and the service keep serving.
+                status, _, _doc = await _request(app.port, "GET",
+                                                 "/v1/healthz")
+                assert status == 200
+                assert all(not task.done()
+                           for task in app.service._dispatchers)
 
         asyncio.run(body())
 
@@ -183,6 +223,40 @@ class TestErrors:
                         dict(request, wait=30))
                     assert status == 400, doc
                     assert "finite" in doc["error"]
+
+        asyncio.run(body())
+
+    @pytest.mark.parametrize("wait", [float("nan"), float("inf"),
+                                      10**400], ids=["nan", "inf",
+                                                     "int-1e400"])
+    def test_non_finite_wait_in_body_is_400(self, wait):
+        """``"wait": NaN`` would become a NaN deadline, whose timer fires
+        whenever the loop's timer heap lets it."""
+        async def body():
+            async with running_app() as app:
+                status, _, doc = await _request(
+                    app.port, "POST", "/v1/jobs",
+                    {"kind": "distance", "params": {"pairs": [[1.0, 2.0]]},
+                     "wait": wait})
+                assert status == 400, doc
+                assert "'wait' must be a finite number" in doc["error"]
+                _, _, stats = await _request(app.port, "GET", "/v1/stats")
+                assert stats["requests"] == 0
+
+        asyncio.run(body())
+
+    @pytest.mark.parametrize("wait", ["nan", "inf", "-inf"])
+    def test_non_finite_wait_in_poll_query_is_400(self, wait):
+        async def body():
+            async with running_app() as app:
+                _, _, doc = await _request(
+                    app.port, "POST", "/v1/jobs",
+                    {"kind": "distance", "params": {"pairs": [[1.0, 2.0]]}})
+                status, _, error = await _request(
+                    app.port, "GET",
+                    "/v1/jobs/%s?wait=%s" % (doc["id"], wait))
+                assert status == 400, error
+                assert "'wait' must be a finite number" in error["error"]
 
         asyncio.run(body())
 

@@ -104,9 +104,9 @@ class TestTraceContinuity:
             service = JobService(ServeConfig(workers=1, cache=False))
             await service.start()
             try:
-                params = {"pairs": [[1.0, 2.0]]}
-                lead = service.submit("distance", dict(params))
-                follower = service.submit("distance", dict(params))
+                params = {"n": 21}
+                lead = service.submit("factor", dict(params))
+                follower = service.submit("factor", dict(params))
                 assert follower.coalesced_with == lead.id
                 assert follower.joined_trace == lead.trace_id
                 assert follower.trace_id != lead.trace_id

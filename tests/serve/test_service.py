@@ -1,11 +1,13 @@
-"""JobService behaviour: validation, coalescing, batching, admission.
+"""JobService behaviour: validation, coalescing, admission, where jobs run.
 
 Async tests drive the service on a private event loop via
 ``asyncio.run`` inside plain pytest functions (the suite has no async
 plugin, by design -- the service itself must work from stock asyncio).
-Submitting several jobs synchronously (no ``await`` between them)
-lands them all before the dispatcher coroutines get a turn, which is
-what makes the coalescing/batching/priority assertions deterministic.
+Submitting several kernel-thread jobs synchronously (no ``await``
+between them) lands them all before the dispatcher coroutines get a
+turn, which is what makes the coalescing/priority assertions
+deterministic.  A bounded job (behavioral distance, small detect) is
+finished when ``submit`` returns.
 """
 
 import asyncio
@@ -29,9 +31,8 @@ from repro.memcomputing import solver
 from repro.oscillators.distance import OscillatorDistanceUnit
 from repro.oscillators.fast.oscillator_fast import OscillatorFastDetector
 from repro.quantum.algorithms import shor
-from repro.serve import (DistanceBatcher, JobService, ServeConfig,
-                         validate_request)
-from repro.serve.jobs import DONE, FAILED, JobTable
+from repro.serve import JobService, ServeConfig, validate_request
+from repro.serve.jobs import DONE, FAILED, RUNNING, JobTable
 
 
 def run_service_test(body, **config_kwargs):
@@ -137,12 +138,12 @@ class TestCoalescing:
         exactly one kernel execution, proven by the ``serve.coalesced``
         and (on the later resubmission) ``cache.hits`` telemetry."""
         registry = telemetry.MetricsRegistry()
-        params = {"pairs": [[1.0, 2.0], [2.0, 3.0]]}
+        params = {"n": 21}
 
         async def body(service):
-            jobs = [service.submit("distance", params) for _ in range(5)]
+            jobs = [service.submit("factor", params) for _ in range(5)]
             await asyncio.gather(*(job.future for job in jobs))
-            results = [job.result["measures"] for job in jobs]
+            results = [job.result for job in jobs]
             assert all(r == results[0] for r in results)
             assert all(job.state == DONE for job in jobs)
             assert service.executions == 1
@@ -151,9 +152,9 @@ class TestCoalescing:
             assert all(job.coalesced_with == jobs[0].id
                        for job in jobs[1:])
             # A later identical request replays from the result store.
-            replay = service.submit("distance", dict(params))
+            replay = service.submit("factor", dict(params))
             assert replay.cached and replay.state == DONE
-            assert replay.result["measures"] == results[0]
+            assert replay.result == results[0]
             assert service.executions == 1
 
         with telemetry.use_registry(registry):
@@ -164,6 +165,23 @@ class TestCoalescing:
         assert snapshot["serve.cache_hits"]["value"] == 1
         assert snapshot["cache.hits"]["value"] >= 1
         assert snapshot["serve.executions"]["value"] == 1
+
+    def test_identical_bounded_requests_one_execution_then_store_hits(
+            self):
+        """A bounded job finishes inside ``submit``, so its identical
+        twins never overlap it: they replay it from the store."""
+        params = {"pairs": [[1.0, 2.0], [2.0, 3.0]]}
+
+        async def body(service):
+            jobs = [service.submit("distance", params) for _ in range(5)]
+            assert all(job.state == DONE for job in jobs)
+            assert [job.cached for job in jobs] == [False] + [True] * 4
+            assert all(job.result == jobs[0].result for job in jobs)
+            stats = service.stats()
+            assert (stats["executions"], stats["cache_hits"],
+                    stats["coalesced"]) == (1, 4, 0)
+
+        run_service_test(body)
 
     def test_sequential_identical_requests_hit_the_store(self):
         async def body(service):
@@ -204,23 +222,6 @@ class TestCoalescing:
 
 
 class TestBatching:
-    def test_compatible_distance_jobs_share_one_vectorized_call(self):
-        pairs_a = [[1.0, 2.0], [3.0, 4.0]]
-        pairs_b = [[5.0, 6.0]]
-
-        async def body(service):
-            job_a = service.submit("distance", {"pairs": pairs_a})
-            job_b = service.submit("distance", {"pairs": pairs_b})
-            await asyncio.gather(job_a.future, job_b.future)
-            assert service.executions == 1
-            assert service.batched == 1
-            return (job_a.result["measures"], job_b.result["measures"])
-
-        batched_a, batched_b = run_service_test(body, job_concurrency=1)
-        unit = OscillatorDistanceUnit(mode="behavioral")
-        assert batched_a == unit.measure_pairs(pairs_a)
-        assert batched_b == unit.measure_pairs(pairs_b)
-
     def test_different_modes_never_merge(self):
         async def body(service):
             job_a = service.submit("distance", {"pairs": [[1.0, 2.0]],
@@ -232,20 +233,6 @@ class TestBatching:
             assert service.executions == 2
 
         run_service_test(body, job_concurrency=1)
-
-    def test_pair_budget_caps_the_merge(self):
-        async def body(service):
-            service.batcher = DistanceBatcher(max_pairs=2)
-            jobs = [service.submit("distance",
-                                   {"pairs": [[float(i), float(i + 1)]]})
-                    for i in range(4)]
-            await asyncio.gather(*(job.future for job in jobs))
-            # Budget of 2 pairs -> merges of at most 2 jobs here.
-            assert service.executions == 2
-            assert service.batched == 2
-
-        run_service_test(body, job_concurrency=1)
-
 
     def test_physical_jobs_dispatch_alone_with_the_service_options(
             self, monkeypatch):
@@ -594,14 +581,12 @@ class TestWhereJobsRun:
         expected = [OscillatorDistanceUnit().measure_pairs(block)
                     for block in blocks]
         threads.clear()
-        loop, alone, batched = self._serve(
+        loop, alone, _batched = self._serve(
             [("distance", {"pairs": blocks[0].tolist()})])
-        assert batched == 0
-        loop_again, merged, batched = self._serve(
+        loop_again, more, _batched = self._serve(
             [("distance", {"pairs": block.tolist()}) for block in blocks[1:]])
-        assert batched == 1
-        assert threads["measure_batch"] == [loop, loop_again]
-        assert [result["measures"] for result in alone + merged] == expected
+        assert threads["measure_batch"] == [loop, loop_again, loop_again]
+        assert [result["measures"] for result in alone + more] == expected
 
     @pytest.mark.parametrize("size", [10, 38])  # interior pixels: 16, 1,024
     def test_one_chunk_detect_runs_on_the_loop(self, threads, size):
@@ -615,27 +600,32 @@ class TestWhereJobsRun:
         assert result["corners"] == [[int(r), int(c)] for r, c in corners]
 
     def test_other_tasks_run_between_loop_run_jobs(self):
-        """Queued loop-run jobs never run back to back: the dispatcher
-        yields after each, so other tasks (HTTP handlers, health
-        checks) get the loop between two of them."""
+        """A loop-run job holds the loop for one step of the handler that
+        submitted it, never more: with requests arriving in successive
+        loop turns, as reads on three connections would, other tasks
+        (HTTP handlers, health checks) get the loop between two jobs."""
         rng = np.random.default_rng(8)
         images = [rng.uniform(0.0, 255.0, size=(10, 10)).tolist()
                   for _ in range(3)]
 
         async def body(service):
             events = []
-            jobs = [service.submit("detect", {"image": image})
-                    for image in images]
-            for job in jobs:
-                job.future.add_done_callback(
-                    lambda _future: events.append("job"))
+
+            async def handler(turn, image):
+                for _ in range(turn + 1):    # the request arriving
+                    await asyncio.sleep(0)
+                job = service.submit("detect", {"image": image})
+                assert job.state == DONE
+                events.append("job")
 
             async def ticker():
-                while events.count("job") < len(jobs):
+                while events.count("job") < len(images):
                     events.append("tick")
                     await asyncio.sleep(0)
 
-            await asyncio.gather(ticker(), *(job.future for job in jobs))
+            await asyncio.gather(ticker(), *(handler(turn, image)
+                                             for turn, image
+                                             in enumerate(images)))
             return events
 
         events = run_service_test(body, cache=False, job_concurrency=1)
@@ -666,6 +656,103 @@ class TestWhereJobsRun:
             assert threads[name], name
             assert all(thread.startswith("repro-serve")
                        for thread in threads[name]), (name, threads[name])
+
+
+class TestRunAtSubmit:
+    """A bounded job runs to completion inside ``submit``: it never
+    waits behind kernel-thread jobs, and whatever its kernel or the
+    store does, ``submit`` returns it settled and raises nothing."""
+
+    DETECT_IMAGE = np.random.default_rng(10).uniform(0.0, 255.0,
+                                                     size=(10, 10))
+    PAIRS = np.random.default_rng(64).uniform(0.0, 255.0, size=(64, 2))
+
+    def test_bounded_requests_do_not_wait_behind_held_dispatchers(
+            self, monkeypatch):
+        """Both dispatchers hold a solve blocked on an event; a distance
+        and a detect request submitted behind them are done, with the
+        library's answers, when ``submit`` returns."""
+        release = threading.Event()
+        real = solver.solve_portfolio
+
+        def held(*args, **kwargs):
+            if not release.wait(timeout=60):
+                raise RuntimeError("the test never released the solves")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_portfolio", held)
+
+        async def body(service):
+            solves = [service.submit("solve", {
+                "dimacs": TestResultStore.DIMACS, "attempts": 1,
+                "max_steps": 20000, "seed": seed}) for seed in (1, 2)]
+            try:
+                for _ in range(1000):
+                    if all(job.state == RUNNING for job in solves):
+                        break
+                    await asyncio.sleep(0.001)
+                assert [job.state for job in solves] == [RUNNING] * 2
+                distance = service.submit("distance",
+                                          {"pairs": self.PAIRS.tolist()})
+                detect = service.submit(
+                    "detect", {"image": self.DETECT_IMAGE.tolist()})
+                assert [distance.state, detect.state] == [DONE, DONE]
+                assert [job.state for job in solves] == [RUNNING] * 2
+            finally:
+                release.set()
+            await asyncio.wait_for(
+                asyncio.gather(*(job.future for job in solves)), 60)
+            assert [job.state for job in solves] == [DONE, DONE], \
+                [job.error for job in solves]
+            return distance.result, detect.result
+
+        distance, detect = run_service_test(body, cache=False,
+                                            job_concurrency=2)
+        assert distance["measures"] \
+            == OscillatorDistanceUnit().measure_pairs(self.PAIRS)
+        corners = OscillatorFastDetector().detect(self.DETECT_IMAGE)
+        assert detect["corners"] == [[int(r), int(c)] for r, c in corners]
+
+    def test_kernel_error_settles_the_job_failed(self, monkeypatch):
+        def broken(unit, a, b):
+            raise FloatingPointError("kernel fault")
+
+        monkeypatch.setattr(OscillatorDistanceUnit, "measure_batch", broken)
+
+        async def body(service):
+            job = service.submit("distance", {"pairs": [[1.0, 2.0]]})
+            alive = [not task.done() for task in service._dispatchers]
+            return job, alive, service.stats()
+
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            job, alive, stats = run_service_test(body)
+        assert job.state == FAILED and job.future.done()
+        assert job.error == "FloatingPointError: kernel fault"
+        assert alive and all(alive)
+        assert (stats["executions"], stats["failed"]) == (1, 1)
+        # The failure is not stored: a retry would run the kernel again.
+        assert registry.counter("cache.stores").value == 0
+        assert registry.snapshot()["serve.dispatch.seconds"]["count"] == 1
+
+    def test_unwritable_store_settles_the_job_done(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+
+        async def body(service):
+            job = service.submit("distance", {"pairs": self.PAIRS.tolist()})
+            alive = [not task.done() for task in service._dispatchers]
+            return job, alive
+
+        registry = telemetry.MetricsRegistry()
+        with telemetry.use_registry(registry):
+            job, alive = run_service_test(
+                body, cache=ResultCache(cache_dir=str(blocker / "store")))
+        assert job.state == DONE and job.future.done()
+        assert job.result["measures"] \
+            == OscillatorDistanceUnit().measure_pairs(self.PAIRS)
+        assert alive and all(alive)
+        assert registry.snapshot()["cache.store_errors"]["value"] >= 1
 
 
 class TestWorkCounts:
