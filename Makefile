@@ -36,9 +36,9 @@ assert isinstance(r[0], TaskFailure) and r[1] == 2, r; \
 r = ParallelMap().map(abs, [-1, -2], retry=2); assert r == [1, 2], r; \
 print('REPRO_FAULTS env injection: ok')"
 
-# Serving tier: the asyncio job service (admission, coalescing,
-# batching, HTTP endpoints) plus its fault-injection survival tests.
-# See src/repro/serve/ and docs/serving.md.
+# Serving tier: the asyncio job service (admission, coalescing, bounded
+# jobs run at submission, HTTP endpoints) plus its fault-injection
+# survival tests.  See src/repro/serve/ and docs/serving.md.
 test-serve:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		$(PYTHON) -m pytest tests/serve -q

@@ -2,9 +2,9 @@
 
 A job is one accepted request: it gets a stable id, a lifecycle state
 (``queued -> running -> done | failed``; a job run at submission is
-never ``queued``), and an :class:`asyncio.Future` that resolves when the
-job finishes (the HTTP layer's long-poll awaits it).  Jobs that join an identical
-in-flight computation (request coalescing, see
+never seen ``queued``), and an :class:`asyncio.Future` that resolves
+when the job finishes (the HTTP layer's long-poll awaits it).  Jobs
+that join an identical in-flight computation (request coalescing, see
 :mod:`repro.serve.coalesce`) carry ``coalesced_with`` naming the
 primary job whose single execution produced their result.
 

@@ -376,16 +376,17 @@ def _runs_on_loop(job):
     with the GIL passing between the loop and the kernel threads the
     server spent ~1.5 ms of CPU per distance request (a ~25 us kernel)
     and 1.3-1.9 ms per 10x10 detect, against ~0.95 and 1.1-1.3 ms with
-    those kernels on the loop.  Queueing such a job for a dispatcher
-    coroutine instead still cost ~70-170 us of the ~420 us the service
-    spent on a 64-pair distance request, and made it wait behind
-    kernel-thread jobs whenever every dispatcher held one.  The loop
-    stalls for as long as the kernel runs, so only bounded kernels
-    qualify:
+    those kernels on the loop.  Queued for a dispatcher coroutine
+    rather than run at submission, a 64-pair distance request cost
+    440-565 us in process instead of 269-358 us (its payload then also
+    converted three times), and waited out a running solve whenever
+    every dispatcher held one.  The loop stalls for as long as the
+    kernel runs, so only bounded kernels qualify:
 
     * behavioral distance: one ``measure_batch`` on at most
       :data:`MAX_PAIRS_PER_REQUEST` pairs (``MIN_CHUNK_PAIRS``, one
-      chunk), ~2-4 ms at the cap -- less than parsing that request;
+      chunk), ~2-4 ms at the cap, of the ~17-35 ms the whole
+      8,192-pair request holds the loop;
     * detect on at most ``MIN_CHUNK_PIXELS`` (1,024) interior pixels,
       one chunk: ~5-8 ms median for a 38x38 noise image, the slowest.
 
@@ -593,7 +594,7 @@ class JobService:
                 admission.set_attr("outcome",
                                    "inline" if inline else "queued")
         if inline:
-            start = self._start(job)
+            start = self._begin(job)
             try:
                 result = _run_traced(job.trace_id, _run_on_loop, job)
             except Exception as error:  # noqa: BLE001 -- the job absorbs it
@@ -609,7 +610,7 @@ class JobService:
         loop = asyncio.get_running_loop()
         while True:
             job = await self.queue.pop()
-            start = self._start(job)
+            start = self._begin(job)
             try:
                 result = await loop.run_in_executor(
                     self._executor, _run_traced, job.trace_id,
@@ -624,7 +625,7 @@ class JobService:
                 self._end(job, start, result=result)
             self._release(job)
 
-    def _start(self, job):
+    def _begin(self, job):
         """Mark ``job`` running and count its execution; returns the
         ``(wall, perf)`` start of its dispatch span."""
         job.state = RUNNING
