@@ -7,34 +7,21 @@ PYTHON ?= python
 test:
 	$(PYTHON) -m pytest tests/ -q
 
-# Parallel engine + determinism suite, then the fan-out call sites
-# exercised with REPRO_WORKERS=2 as the ambient default (order finding
-# included: its early-stop waves then run on the pool).  Sets
-# PYTHONPATH=src so the target also works without an editable install.
+# Parallel engine + determinism suite.  The fan-out call sites take
+# their pool path from explicit workers=2 / --workers 2 cases in the
+# tier-1 tests.  Sets PYTHONPATH=src so the target also works without
+# an editable install.
 test-parallel:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		$(PYTHON) -m pytest tests/core/test_parallel.py \
 		tests/core/test_telemetry_merge.py -q
-	REPRO_WORKERS=2 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		$(PYTHON) -m pytest tests/core/test_cli.py \
-		tests/memcomputing/test_ensemble.py -q
-	REPRO_WORKERS=2 PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		$(PYTHON) -m pytest tests/quantum/test_algorithms.py -q
 
-# Recovery suite: retry budgets, fault injection, resuming a killed run
-# from its cache directory, then an end-to-end check that a fault plan
-# injected through the environment (REPRO_FAULTS) really reaches the
-# engine and that an int retry budget recovers from it.
+# Recovery suite: retry budgets, fault injection (plans installed in
+# process), resuming a killed run from its cache directory.
 test-resilience:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		$(PYTHON) -m pytest tests/core/test_resilience.py \
 		tests/core/test_parallel.py -q
-	REPRO_FAULTS="0:1:raise" PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		$(PYTHON) -c "from repro.core.parallel import ParallelMap, \
-TaskFailure; r = ParallelMap().map(abs, [-1, -2], on_error='return'); \
-assert isinstance(r[0], TaskFailure) and r[1] == 2, r; \
-r = ParallelMap().map(abs, [-1, -2], retry=2); assert r == [1, 2], r; \
-print('REPRO_FAULTS env injection: ok')"
 
 # Serving tier: the asyncio job service (admission, coalescing, bounded
 # jobs run at submission, HTTP endpoints) plus its fault-injection

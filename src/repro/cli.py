@@ -23,16 +23,23 @@ fans the command's hot loop out over the parallel execution engine
 scoring; see ``docs/parallelism.md``), the shared resilience flags
 ``--retries N`` / ``--timeout S`` (per-chunk retry budget and
 wall-clock budget; see ``docs/resilience.md``), and the shared caching
-flags ``--cache-dir PATH`` / ``--no-cache`` (content-addressed result
-reuse across runs; see ``docs/caching.md``).  A chunked run
-(``--workers``, ``--retries`` or ``--timeout``) stores each finished
-chunk in ``--cache-dir`` as it completes, so re-running a killed
-command with the same flags resumes it.
+flag ``--cache-dir PATH`` (content-addressed result reuse across runs;
+without it a command caches nothing; see ``docs/caching.md``).  A
+chunked run (``--workers``, ``--retries`` or ``--timeout``) stores each
+finished chunk in ``--cache-dir`` as it completes, so re-running a
+killed command with the same flags resumes it.
 """
 
 import argparse
 import contextlib
 import sys
+
+
+#: What ``repro serve``'s kernel options reach: the jobs it queues for a
+#: kernel thread, not the ones it runs at submission.
+_KERNEL_THREAD_JOBS = ("Applies only to kernel-thread jobs (solve, factor, "
+                       "physical distance, detect on more than 1,024 "
+                       "interior pixels).")
 
 
 def _add_observability_flags(subparser):
@@ -85,8 +92,8 @@ def _add_parallel_flags(subparser):
                            help="worker processes for the command's "
                                 "fan-out path: a count, or 'auto' to "
                                 "size the pool from the machine's cores "
-                                "(default: REPRO_WORKERS env or 1 == "
-                                "serial; see docs/parallelism.md)")
+                                "(default: 1 == serial; see "
+                                "docs/parallelism.md)")
 
 
 def _add_resilience_flags(subparser):
@@ -101,34 +108,13 @@ def _add_resilience_flags(subparser):
                                 "use)")
 
 
-def _add_cache_flags(subparser):
+def _add_cache_flag(subparser):
     subparser.add_argument("--cache-dir", metavar="PATH", default=None,
                            help="content-addressed result cache "
                                 "directory; repeated workloads replay "
                                 "stored results bit-identically, and a "
                                 "killed chunked run re-run against it "
                                 "resumes (see docs/caching.md)")
-    subparser.add_argument("--no-cache", action="store_true",
-                           help="disable result caching for this run "
-                                "(overrides --cache-dir and the "
-                                "REPRO_CACHE_DIR environment variable)")
-
-
-def _cache_arg(args):
-    """The caching flags as the kernels' ``cache=`` argument.
-
-    ``--no-cache`` wins (``False`` disables caching outright, including
-    the ``REPRO_CACHE_DIR`` environment default); ``--cache-dir``
-    selects a directory; otherwise ``None`` defers to the environment.
-    """
-    if getattr(args, "no_cache", False):
-        return False
-    return getattr(args, "cache_dir", None)
-
-
-def _wants_cache(args):
-    """True when --cache-dir was given explicitly."""
-    return getattr(args, "cache_dir", None) is not None
 
 
 def _resilience_kwargs(args):
@@ -197,7 +183,7 @@ def _build_parser():
     _add_observability_flags(solve)
     _add_parallel_flags(solve)
     _add_resilience_flags(solve)
-    _add_cache_flags(solve)
+    _add_cache_flag(solve)
 
     factor = commands.add_parser("factor",
                                  help="factor a composite integer")
@@ -208,7 +194,7 @@ def _build_parser():
     _add_observability_flags(factor)
     _add_parallel_flags(factor)
     _add_resilience_flags(factor)
-    _add_cache_flags(factor)
+    _add_cache_flag(factor)
 
     distance = commands.add_parser(
         "distance",
@@ -224,7 +210,7 @@ def _build_parser():
     _add_observability_flags(distance)
     _add_parallel_flags(distance)
     _add_resilience_flags(distance)
-    _add_cache_flags(distance)
+    _add_cache_flag(distance)
 
     profile = commands.add_parser(
         "profile",
@@ -272,23 +258,34 @@ def _build_parser():
                        help="max jobs one tenant may hold queued or "
                             "running; 0 disables quotas (default: "
                             "%(default)s)")
+    serve.add_argument("--workers", type=_workers_flag, default=None,
+                       metavar="N",
+                       help="worker processes for a kernel-thread job's "
+                            "fan-out path, a count or 'auto' (default: "
+                            "1). %s" % _KERNEL_THREAD_JOBS)
     serve.add_argument("--retries", type=_count_flag, default=2,
                        metavar="N",
                        help="attempts per failed kernel chunk -- the "
                             "default 2 retries a crashed worker once "
-                            "(default: %(default)s)")
+                            "(default: %%(default)s). %s"
+                            % _KERNEL_THREAD_JOBS)
     serve.add_argument("--timeout", type=_seconds_flag, default=None,
                        metavar="S",
-                       help="per-chunk wall-clock budget for every job "
-                            "(enforced through the pool even at "
-                            "--workers 1)")
+                       help="per-chunk wall-clock budget, enforced "
+                            "through the pool even at --workers 1. %s"
+                            % _KERNEL_THREAD_JOBS)
     serve.add_argument("--job-concurrency", type=int, default=2,
                        metavar="N",
-                       help="jobs dispatched concurrently (default: "
-                            "%(default)s)")
+                       help="kernel-thread jobs running at once "
+                            "(default: %%(default)s). %s"
+                            % _KERNEL_THREAD_JOBS)
     _add_observability_flags(serve)
-    _add_parallel_flags(serve)
-    _add_cache_flags(serve)
+    serve.add_argument("--cache-dir", metavar="PATH", default=None,
+                       help="directory of the result store, kept across "
+                            "restarts (default: a memory-only store)")
+    serve.add_argument("--no-cache", action="store_true",
+                       help="run without a result store: every request "
+                            "executes")
 
     commands.add_parser("reproduce",
                         help="how to regenerate the paper's results")
@@ -325,7 +322,7 @@ def _run_solve(args, out):
         from .memcomputing.solver import DmmSolver, solve_portfolio
 
         if is_chunked(workers, **_resilience_kwargs(args)) \
-                or _wants_cache(args):
+                or args.cache_dir is not None:
             # The attempt count shapes the portfolio workload (and so
             # its result): it must come from the request, never from the
             # machine, so "auto" pins the engine's default fan-out width
@@ -337,7 +334,7 @@ def _run_solve(args, out):
                                         workers=workers,
                                         max_steps=args.max_steps,
                                         rng=args.seed,
-                                        cache=_cache_arg(args),
+                                        cache=args.cache_dir,
                                         **_resilience_kwargs(args))
             result = portfolio.best
             if result is None:
@@ -385,7 +382,7 @@ def _run_factor(args, out):
 
         result = shor_factor(args.n, rng=args.seed,
                              workers=getattr(args, "workers", None),
-                             cache=_cache_arg(args),
+                             cache=args.cache_dir,
                              **_resilience_kwargs(args))
         if not result.succeeded:
             out.write("no factors found (try another seed)\n")
@@ -432,7 +429,7 @@ def _run_distance(args, out):
                         pairs=len(pairs)) as eval_span:
         measures = unit.measure_pairs(
             pairs, workers=getattr(args, "workers", None),
-            cache=_cache_arg(args), **_resilience_kwargs(args))
+            cache=args.cache_dir, **_resilience_kwargs(args))
         eval_span.set_attr("pairs", len(pairs))
     for (a, b), measure in zip(pairs, measures):
         out.write("distance(%g, %g) = %.6f   (mode=%s, |delta|=%g)\n"
@@ -511,7 +508,8 @@ def _run_serve(args, out):
 
     config = ServeConfig(
         workers=args.workers, timeout=args.timeout,
-        retries=args.retries, cache=_cache_arg(args),
+        retries=args.retries,
+        cache=False if args.no_cache else args.cache_dir,
         queue_depth=args.queue_depth,
         tenant_quota=args.tenant_quota if args.tenant_quota > 0
         else None,

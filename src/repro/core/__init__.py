@@ -13,7 +13,7 @@ from . import (
     telemetry,
     tracing,
 )
-from .cache import CacheSpec, ResultCache, use_cache
+from .cache import CacheSpec, ResultCache
 from .cnf import Clause, CnfFormula, parse_dimacs
 from .parallel import ParallelMap, TaskFailure, parallel_map
 from .profiling import Profile, ProfileSink, record_throughput
@@ -39,7 +39,6 @@ __all__ = [
     "cache",
     "CacheSpec",
     "ResultCache",
-    "use_cache",
     "parallel",
     "profiling",
     "provenance",

@@ -80,15 +80,13 @@ entries quarantined) / ``cache.store_errors`` (disk writes that failed;
 the entry stays in memory), plus the spans ``cache.fingerprint`` (building a
 workload's fingerprint), ``cache.lookup`` (its ``tier`` attribute says
 which tier answered: ``memory``, ``disk``, or ``miss``) and
-``cache.store``.  Enable a cache process-wide with the
-``REPRO_CACHE_DIR`` environment variable, scoped with :func:`use_cache`,
-or per call with the ``cache=`` keyword the kernel entry points accept;
-the CLI exposes ``--cache-dir`` / ``--no-cache``.  The disk tier is
-unbounded by default; give it a byte budget with
-``ResultCache(max_disk_bytes=)`` or the ``REPRO_CACHE_DISK_BYTES``
-environment variable (which also covers the CLI's ``--cache-dir``) and
-the least-recently-used entries are evicted once a store exceeds it.
-See ``docs/caching.md``.
+``cache.store``.  A cache is only ever an argument: the ``cache=``
+keyword the kernel entry points accept (the CLI's ``--cache-dir``);
+left at None, a call is uncached.  The disk tier is unbounded by
+default; give it a byte budget with ``ResultCache(max_disk_bytes=)`` or
+the ``REPRO_CACHE_DISK_BYTES`` environment variable (which also covers
+the CLI's ``--cache-dir``) and the least-recently-used entries are
+evicted once a store exceeds it.  See ``docs/caching.md``.
 """
 
 import collections
@@ -106,9 +104,6 @@ from .resilience import jsonable, rng_fingerprint
 
 #: Format marker stored in (and required of) every cache entry.
 CACHE_FORMAT = "repro-cache-v1"
-
-#: Environment variable enabling a process-wide cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Environment variable giving the disk tier a byte budget (integer
 #: bytes; unset or empty means unbounded).
@@ -598,22 +593,9 @@ class CacheSpec:
         return "CacheSpec(kind=%s, cache=%r)" % (self.kind, self.cache)
 
 
-# -- active cache plumbing -------------------------------------------------
+# -- cache arguments -------------------------------------------------------
 
-_active_cache = None
 _dir_caches = {}
-
-
-def set_result_cache(cache):
-    """Install ``cache`` process-wide (None clears); returns the previous.
-
-    The programmatic override wins over the ``REPRO_CACHE_DIR``
-    environment variable.
-    """
-    global _active_cache
-    previous = _active_cache
-    _active_cache = cache
-    return previous
 
 
 def _env_disk_budget():
@@ -646,47 +628,15 @@ def cache_for_dir(cache_dir, max_disk_bytes=None):
     return _dir_caches[path]
 
 
-def active_cache():
-    """The cache kernels should consult right now, or None.
-
-    Checks the programmatic override first, then ``REPRO_CACHE_DIR``.
-    """
-    if _active_cache is not None:
-        return _active_cache
-    env = os.environ.get(CACHE_DIR_ENV, "").strip()
-    if env:
-        return cache_for_dir(env)
-    return None
-
-
-@contextlib.contextmanager
-def use_cache(cache):
-    """Scoped caching: install ``cache``, restore the previous one after.
-
-    Accepts a :class:`ResultCache` or a directory path.
-    """
-    if isinstance(cache, (str, os.PathLike)):
-        cache = cache_for_dir(cache)
-    previous = set_result_cache(cache)
-    try:
-        yield cache
-    finally:
-        set_result_cache(previous)
-
-
 def resolve_cache(cache):
     """Coerce a kernel's ``cache`` argument into a ResultCache or None.
 
-    ``None`` consults the active cache (:func:`active_cache`) so library
-    call sites stay uncached unless a caller, the CLI's ``--cache-dir``,
-    or the environment opts in; ``False`` disables caching outright
-    (the CLI's ``--no-cache``, which must win over the environment); a
+    ``None`` and ``False`` mean no cache, so library call sites stay
+    uncached unless a caller or the CLI's ``--cache-dir`` opts in; a
     string or path selects the shared per-directory cache; an existing
     :class:`ResultCache` passes through.
     """
-    if cache is None:
-        return active_cache()
-    if cache is False:
+    if cache is None or cache is False:
         return None
     if isinstance(cache, (str, os.PathLike)):
         return cache_for_dir(cache)

@@ -47,9 +47,8 @@ class CacheError(CoreError):
 class InjectedFault(CoreError):
     """A deliberately injected failure from a resilience ``FaultPlan``.
 
-    Only ever raised under fault injection (tests, chaos drills); seen
-    in production it means a stale ``REPRO_FAULTS`` environment
-    variable.
+    Only ever raised under a plan installed in process
+    (:func:`~repro.core.resilience.use_faults`): tests and chaos drills.
     """
 
 

@@ -39,13 +39,12 @@ the worker copies the array out of the segment, so the semantics are
 exactly those of pickling at a fraction of the cost.
 
 ``workers="auto"`` (accepted everywhere a worker count is: the
-``workers=`` arguments, ``REPRO_WORKERS``, the CLI's ``--workers``)
-sizes the pool from :func:`os.cpu_count` and stays serial when the
-machine has one core or the workload is a single chunk.  Auto mode
-always routes through the *chunked* code path, so its results are
-bit-identical to any explicit ``--workers N`` run of the same chunked
-workload -- the machine decides only where chunks run, never what they
-compute.
+``workers=`` arguments and the CLI's ``--workers``) sizes the pool from
+:func:`os.cpu_count` and stays serial when the machine has one core or
+the workload is a single chunk.  Auto mode always routes through the
+*chunked* code path, so its results are bit-identical to any explicit
+``--workers N`` run of the same chunked workload -- the machine decides
+only where chunks run, never what they compute.
 
 Seeding contract
 ----------------
@@ -81,13 +80,12 @@ map ran or replayed from the cache (fewer than submitted when a
 
 Serial fallback
 ---------------
-``workers=1`` (the default, also reachable through the ``REPRO_WORKERS``
-environment variable) or a single-task map runs the same chunk functions
-inline in the parent process -- same results, no subprocesses, no
-pickling.  One exception: a ``timeout=`` forces the pool path even at
-``workers=1``, because only a subprocess can be killed past its
-deadline -- a wedged inline call would hang the caller (fatal for a
-long-running service).
+``workers=1`` (the default) or a single-task map runs the same chunk
+functions inline in the parent process -- same results, no
+subprocesses, no pickling.  One exception: a ``timeout=`` forces the
+pool path even at ``workers=1``, because only a subprocess can be
+killed past its deadline -- a wedged inline call would hang the caller
+(fatal for a long-running service).
 
 Thread safety
 -------------
@@ -120,9 +118,6 @@ from .tracing import ListSink
 #: RNG spawning -- is identical across worker counts.
 DEFAULT_CHUNKS = 8
 
-#: Environment variable consulted when ``workers=None``.
-WORKERS_ENV = "REPRO_WORKERS"
-
 #: The ``workers`` sentinel for machine-sized pools.
 AUTO = "auto"
 
@@ -143,17 +138,13 @@ def _cpu_count():
 def resolve_workers(workers=None):
     """Coerce a ``workers`` argument into a positive int or ``"auto"``.
 
-    ``None`` consults the ``REPRO_WORKERS`` environment variable and
-    falls back to 1 (serial) -- so library call sites stay serial unless
-    a caller, the CLI's ``--workers``, or the environment opts in.
-    ``"auto"`` passes through as-is: the pool size is picked per
-    workload (see :data:`AUTO` and :meth:`ParallelMap.map`).
+    ``None`` means 1 (serial) -- so library call sites stay serial
+    unless a caller or the CLI's ``--workers`` opts in.  ``"auto"``
+    passes through as-is: the pool size is picked per workload (see
+    :data:`AUTO` and :meth:`ParallelMap.map`).
     """
     if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "").strip()
-        if not raw:
-            return 1
-        workers = raw
+        return 1
     if isinstance(workers, str):
         text = workers.strip().lower()
         if text == AUTO:
@@ -644,11 +635,10 @@ class ParallelMap:
     Parameters
     ----------
     workers : int, ``"auto"``, or None
-        Maximum concurrent worker processes.  ``None`` consults
-        ``REPRO_WORKERS`` (default 1 == serial inline execution);
-        ``"auto"`` sizes the pool from the machine's core count per
-        ``map()`` call and stays serial for one-chunk workloads or
-        single-core hosts (the choice is recorded in the
+        Maximum concurrent worker processes.  ``None`` means 1 (serial
+        inline execution); ``"auto"`` sizes the pool from the machine's
+        core count per ``map()`` call and stays serial for one-chunk
+        workloads or single-core hosts (the choice is recorded in the
         ``parallel.auto.*`` counters and never changes results).
     timeout : float or None
         Per-task wall-clock budget in seconds.  A worker past its

@@ -11,9 +11,9 @@ crash); this module turns detection into *recovery*:
   the engine's next round, with no wait, whatever its failure reason,
 * :class:`FaultPlan` -- a test harness that injects ``raise`` /
   ``hang`` / ``kill`` / ``nan`` faults at chosen chunk x attempt
-  coordinates, enabled programmatically (:func:`use_faults`), through
-  the ``REPRO_FAULTS`` environment variable, or through the
-  ``fault_plan`` pytest fixture -- recovery semantics are *proved*
+  coordinates, installed in process (:func:`use_faults`,
+  :func:`set_fault_plan`, or the ``fault_plan`` pytest fixture) and
+  never read from the environment -- recovery semantics are *proved*
   under injected faults instead of hoped for.
 
 A killed long run resumes through the result cache, not through a
@@ -42,10 +42,6 @@ import time
 import numpy as np
 
 from .exceptions import InjectedFault, ResilienceError
-
-#: Environment variable carrying a fault-plan spec
-#: (``"chunk:attempt:action[,chunk:attempt:action...]"``).
-FAULTS_ENV = "REPRO_FAULTS"
 
 
 def resolve_retry(retry):
@@ -126,8 +122,8 @@ class FaultPlan:
     def from_spec(cls, spec, **kwargs):
         """Parse ``"chunk:attempt:action[,chunk:attempt:action...]"``.
 
-        The format of the ``REPRO_FAULTS`` environment variable, e.g.
-        ``REPRO_FAULTS="0:1:raise,2:1:kill"``.
+        The format :func:`use_faults` accepts, e.g.
+        ``use_faults("0:1:raise,2:1:kill")``.
         """
         faults = []
         for part in str(spec).split(","):
@@ -173,11 +169,7 @@ _active_plan = None
 
 
 def set_fault_plan(plan):
-    """Install ``plan`` process-wide (None clears); returns the previous.
-
-    The programmatic override wins over the ``REPRO_FAULTS``
-    environment variable.
-    """
+    """Install ``plan`` process-wide (None clears); returns the previous."""
     global _active_plan
     previous = _active_plan
     _active_plan = plan
@@ -185,16 +177,9 @@ def set_fault_plan(plan):
 
 
 def active_fault_plan():
-    """The fault plan the engine should apply right now, or None.
-
-    Checks the programmatic override first, then ``REPRO_FAULTS``.
-    """
-    if _active_plan is not None:
-        return _active_plan
-    spec = os.environ.get(FAULTS_ENV, "").strip()
-    if spec:
-        return FaultPlan.from_spec(spec)
-    return None
+    """The plan :func:`set_fault_plan` or :func:`use_faults` installed,
+    or None."""
+    return _active_plan
 
 
 @contextlib.contextmanager

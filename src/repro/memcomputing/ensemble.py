@@ -285,8 +285,7 @@ def solve_ensemble(formula, batch=32, dt=0.08, max_steps=100_000,
     Parameters (parallel execution)
     -------------------------------
     workers : int or None
-        Worker processes for the trajectory blocks (None: the
-        ``REPRO_WORKERS`` environment default, normally 1 == serial).
+        Worker processes for the trajectory blocks (None: 1 == serial).
     chunk_size : int or None
         Trajectories per block.  A call that sets none of ``workers``
         (> 1), ``chunk_size``, ``timeout`` and ``retry`` runs inline on
@@ -307,13 +306,12 @@ def solve_ensemble(formula, batch=32, dt=0.08, max_steps=100_000,
         to a fault-free run.
     cache : None, False, str, or ResultCache
         Content-addressed result reuse (:mod:`repro.core.cache`).
-        ``None`` consults the active cache (``REPRO_CACHE_DIR`` or
-        :func:`repro.core.cache.use_cache`); ``False`` disables.  The
-        inline path caches the whole solve-step array (integer seeds
-        only); the chunked path caches per trajectory block as blocks
-        finish, so a killed chunked run re-run against the same cache
-        directory integrates only its missing blocks.  Workloads with
-        ``rng=None`` (fresh entropy) are never cached.
+        ``None`` and ``False`` mean no cache.  The inline path caches
+        the whole solve-step array (integer seeds only); the chunked
+        path caches per trajectory block as blocks finish, so a killed
+        chunked run re-run against the same cache directory integrates
+        only its missing blocks.  Workloads with ``rng=None`` (fresh
+        entropy) are never cached.
     """
     if batch < 1:
         raise MemcomputingError("batch must be positive")

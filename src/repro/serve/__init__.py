@@ -12,13 +12,11 @@ one persistent worker pool -- with the content-addressed
 
 from .admission import AdmissionQueue
 from .app import ServeApp, run_app
-from .coalesce import Coalescer
 from .jobs import DONE, FAILED, QUEUED, RUNNING, Job, JobTable
 from .service import JobService, ServeConfig, validate_request
 
 __all__ = [
     "AdmissionQueue",
-    "Coalescer",
     "DONE",
     "FAILED",
     "QUEUED",

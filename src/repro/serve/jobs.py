@@ -5,7 +5,7 @@ A job is one accepted request: it gets a stable id, a lifecycle state
 never seen ``queued``), and an :class:`asyncio.Future` that resolves
 when the job finishes (the HTTP layer's long-poll awaits it).  Jobs
 that join an identical in-flight computation (request coalescing, see
-:mod:`repro.serve.coalesce`) carry ``coalesced_with`` naming the
+:mod:`repro.serve.service`) carry ``coalesced_with`` naming the
 primary job whose single execution produced their result.
 
 The :class:`JobTable` keeps every live job plus the ``retention`` most

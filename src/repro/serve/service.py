@@ -19,8 +19,11 @@ a request.
 One submission takes at most one of these paths, in order:
 
 1. **coalesce** -- an identical request (same workload fingerprint from
-   :mod:`repro.core.cache`) is already in flight: join it as a
-   follower, zero additional executions (``serve.coalesced``);
+   :mod:`repro.core.cache`) is already queued or running on a kernel
+   thread: join it as a follower and receive a copy of its result,
+   zero additional executions (``serve.coalesced``).  Only queued jobs
+   attract joins: a bounded job finishes inside ``submit()``, before
+   anything could join it, and its twins replay it from the store;
 2. **result store** -- the content-addressed
    :class:`~repro.core.cache.ResultCache` holds the answer (memory or
    disk tier, shared across tenants -- the fingerprint, not the tenant,
@@ -58,13 +61,16 @@ from .admission import (
     MIN_PRIORITY,
     AdmissionQueue,
 )
-from .coalesce import Coalescer
 from .jobs import DONE, FAILED, RUNNING, JobTable
 
 #: Request size caps -- admission control starts at validation: a
 #: request the service would choke on is a 400, not a wedged worker.
 MAX_DIMACS_CHARS = 200_000
-MAX_FACTOR_N = 1_000_000
+#: Order finding for n needs 3 * bit_length(n - 1) qubits: at most 18
+#: up to 64 (one attempt at n = 63 takes ~0.7 s on a 2-vCPU host),
+#: while n = 65 needs 21 (one attempt took 11 s there) and n above 512
+#: needs 30, a 16 GiB statevector.
+MAX_FACTOR_N = 64
 MAX_PAIRS_PER_REQUEST = 8192
 MAX_IMAGE_PIXELS = 65_536
 MAX_ATTEMPTS = 64
@@ -100,8 +106,7 @@ class ServeConfig:
         request, keyed by the request's fingerprint.  It is the only
         cache on the serve path -- the kernels run with ``cache=False``,
         so they write no entries of their own.  ``None`` (default) uses
-        the active cache (``REPRO_CACHE_DIR``) or, when there is none, a
-        fresh memory-only :class:`~repro.core.cache.ResultCache`;
+        a fresh memory-only :class:`~repro.core.cache.ResultCache`;
         ``False`` disables result reuse entirely.  Give the store a
         disk budget via ``ResultCache(max_disk_bytes=...)`` or
         ``REPRO_CACHE_DISK_BYTES`` (see ``docs/caching.md``).
@@ -288,13 +293,9 @@ def _fingerprint_meta(kind, params):
 # keeps each successful result under the request's fingerprint, and
 # kernel-level entries keyed inside one request could serve no other.
 # ``options`` are the kernel's ``workers``, ``timeout`` and ``retry``
-# from the :class:`ServeConfig` for a job on a kernel thread, and
-# :data:`_LOOP_OPTIONS` for a job run at submission.  The pairs and the
-# image arrive as the float64 arrays :func:`_validated` built.
-
-#: Kernel options of a job run at submission, on the event loop: inline,
-#: so neither a pool round trip nor ``REPRO_WORKERS`` can reach the loop.
-_LOOP_OPTIONS = {"workers": 1}
+# from the :class:`ServeConfig` for a job on a kernel thread, and none
+# (the kernel's inline path) for a job run at submission.  The pairs and
+# the image arrive as the float64 arrays :func:`_validated` built.
 
 
 def _run_solve(params, options):
@@ -342,24 +343,10 @@ def _run_distance(params, options):
     from ..oscillators.distance import OscillatorDistanceUnit
 
     unit = OscillatorDistanceUnit(mode=params["mode"])
+    # measure_pairs already returns a list of Python floats.
     measures = unit.measure_pairs(params["pairs"], cache=False, **options)
-    return {"measures": [float(value) for value in measures],
-            "count": len(measures), "mode": params["mode"]}
-
-
-def _run_behavioral_distance(params):
-    """One ``measure_batch`` over the request's pairs.
-
-    Bit-identical to ``measure_pairs`` (the equivalence tier guarantees
-    ``measure_batch == measure`` element-wise), without its entry.
-    """
-    from ..oscillators.distance import OscillatorDistanceUnit
-
-    pairs = params["pairs"]
-    values = OscillatorDistanceUnit(mode="behavioral").measure_batch(
-        pairs[:, 0], pairs[:, 1])
-    return {"measures": values.tolist(), "count": len(pairs),
-            "mode": "behavioral"}
+    return {"measures": measures, "count": len(measures),
+            "mode": params["mode"]}
 
 
 _RUNNERS = {"solve": _run_solve, "factor": _run_factor,
@@ -383,10 +370,10 @@ def _runs_on_loop(job):
     every dispatcher held one.  The loop stalls for as long as the
     kernel runs, so only bounded kernels qualify:
 
-    * behavioral distance: one ``measure_batch`` on at most
-      :data:`MAX_PAIRS_PER_REQUEST` pairs (``MIN_CHUNK_PAIRS``, one
-      chunk), ~2-4 ms at the cap, of the ~17-35 ms the whole
-      8,192-pair request holds the loop;
+    * behavioral distance: ``measure_pairs`` inline, one
+      ``measure_batch`` on at most :data:`MAX_PAIRS_PER_REQUEST` pairs
+      (``MIN_CHUNK_PAIRS``, one chunk), ~2-4 ms at the cap, of the
+      ~17-35 ms the whole 8,192-pair request holds the loop;
     * detect on at most ``MIN_CHUNK_PIXELS`` (1,024) interior pixels,
       one chunk: ~5-8 ms median for a 38x38 noise image, the slowest.
 
@@ -409,10 +396,8 @@ def _runs_on_loop(job):
 
 def _run_on_loop(job):
     """``job``'s result, computed on the calling thread
-    (:func:`_runs_on_loop` holds for it)."""
-    if job.kind == "distance":
-        return _run_behavioral_distance(job.params)
-    return _RUNNERS[job.kind](job.params, _LOOP_OPTIONS)
+    (:func:`_runs_on_loop` holds for it) on the kernel's inline path."""
+    return _RUNNERS[job.kind](job.params, {})
 
 
 def _run_traced(trace_id, fn, *args):
@@ -434,13 +419,15 @@ class JobService:
         self.table = JobTable()
         self.queue = AdmissionQueue(max_depth=self.config.queue_depth,
                                     tenant_quota=self.config.tenant_quota)
-        self.coalescer = Coalescer()
+        # In-flight queued primaries by workload fingerprint; an
+        # identical submission joins one instead of executing again.
+        self._inflight = {}
         if self.config.cache is False:
             self.cache = None
+        elif self.config.cache is None:
+            self.cache = result_cache.ResultCache()
         else:
             self.cache = result_cache.resolve_cache(self.config.cache)
-            if self.cache is None:
-                self.cache = result_cache.ResultCache()
         # Plain-int mirrors of the serve.* telemetry (always on, so
         # /v1/stats and the benchmarks work without a live registry).
         self.requests = 0
@@ -550,9 +537,13 @@ class JobService:
         with tracing.use_trace(trace_id), \
                 telemetry.span("serve.admission", job=job.id, kind=kind,
                                tenant=tenant) as admission:
-            primary = self.coalescer.primary_for(key)
+            primary = self._inflight.get(key)
             if primary is not None and not primary.finished:
-                self.coalescer.join(primary, job)
+                # The follower keeps the primary's trace id, so a request
+                # that never executed still points at the trace that did.
+                job.coalesced_with = primary.id
+                job.joined_trace = primary.trace_id
+                primary.followers.append(job)
                 self.coalesced += 1
                 self._tenant_bucket(tenant)["coalesced"] += 1
                 if registry.enabled:
@@ -579,7 +570,7 @@ class JobService:
                     return job
 
             # A bounded job finishes before anything could join it, so it
-            # takes no queue slot, no quota unit and no coalescer entry.
+            # takes no queue slot, no quota unit and no in-flight entry.
             inline = _runs_on_loop(job)
             if not inline:
                 try:
@@ -589,7 +580,7 @@ class JobService:
                     if admission:
                         admission.set_attr("outcome", "rejected")
                     raise
-                self.coalescer.register(key, job)
+                self._inflight[key] = job
             if admission:
                 admission.set_attr("outcome",
                                    "inline" if inline else "queued")
@@ -653,7 +644,7 @@ class JobService:
     def _release(self, job):
         """A queued job left the service: stop attracting joins to it
         and return its tenant's quota unit."""
-        self.coalescer.resolve(job.key)
+        self._inflight.pop(job.key, None)
         self.queue.release(job.tenant)
 
     def _emit_dispatch_span(self, registry, job, status, start):

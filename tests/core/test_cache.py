@@ -32,7 +32,6 @@ import repro
 from repro.core import cache as result_cache
 from repro.core import telemetry
 from repro.core.cache import (
-    CACHE_DIR_ENV,
     CacheSpec,
     ResultCache,
     array_fingerprint,
@@ -41,7 +40,6 @@ from repro.core.cache import (
     fingerprint,
     formula_fingerprint,
     spec_for,
-    use_cache,
 )
 from repro.core.exceptions import CacheError
 from repro.core.parallel import ParallelMap
@@ -503,6 +501,7 @@ class TestConcurrentStores:
 
 class TestActiveCachePlumbing:
     def test_resolve_cache_forms(self, tmp_path):
+        assert result_cache.resolve_cache(None) is None
         assert result_cache.resolve_cache(False) is None
         cache = ResultCache()
         assert result_cache.resolve_cache(cache) is cache
@@ -512,26 +511,6 @@ class TestActiveCachePlumbing:
         assert result_cache.resolve_cache(str(tmp_path)) is by_path
         with pytest.raises(CacheError, match="cache must be"):
             result_cache.resolve_cache(123)
-
-    def test_use_cache_scopes_and_restores(self):
-        cache = ResultCache()
-        assert result_cache.active_cache() is None
-        with use_cache(cache) as active:
-            assert active is cache
-            assert result_cache.active_cache() is cache
-            assert result_cache.resolve_cache(None) is cache
-        assert result_cache.active_cache() is None
-
-    def test_env_var_enables_a_directory_cache(self, tmp_path,
-                                               monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        active = result_cache.active_cache()
-        assert isinstance(active, ResultCache)
-        assert active.cache_dir == os.path.abspath(str(tmp_path))
-        # programmatic override wins over the environment
-        override = ResultCache()
-        with use_cache(override):
-            assert result_cache.active_cache() is override
 
     def test_spec_for_refuses_nondeterministic_workloads(self):
         cache = ResultCache()

@@ -17,6 +17,12 @@ def run_cli(argv):
     return code, out.getvalue()
 
 
+#: The extra flags a test runs a command under when its behaviour must
+#: hold on both paths: the default (serial, inline unless another flag
+#: chunks it) and chunked on a two-worker pool.
+WORKER_LEGS = ([], ["--workers", "2"])
+
+
 def pair_values(count):
     """``distance`` arguments for ``count`` seeded intensity pairs."""
     rng = np.random.default_rng(count)
@@ -151,13 +157,15 @@ class TestObservability:
     def test_telemetry_restored_after_command(self, instance_path):
         from repro.core import telemetry
 
-        run_cli(["solve", instance_path, "--metrics"])
-        assert telemetry.get_registry() is telemetry.NULL_REGISTRY
+        for extra in WORKER_LEGS:
+            run_cli(["solve", instance_path, "--metrics"] + extra)
+            assert telemetry.get_registry() is telemetry.NULL_REGISTRY
 
     def test_no_flags_leaves_telemetry_disabled(self, instance_path):
-        code, text = run_cli(["solve", instance_path])
-        assert code == 0
-        assert "telemetry summary" not in text
+        for extra in WORKER_LEGS:
+            code, text = run_cli(["solve", instance_path] + extra)
+            assert code == 0
+            assert "telemetry summary" not in text
 
 
 class TestWorkersFlag:
@@ -253,6 +261,31 @@ class TestServeCommand:
         assert args.timeout == 2.5
         assert args.no_cache
 
+    def test_help_says_which_jobs_the_kernel_options_reach(self, capsys):
+        # Behavioral distance and small detect run at submission: no
+        # worker, timeout, retry or dispatcher reaches them.
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args(["serve", "--help"])
+        # one entry per option: its first line starts "  -"
+        entries = {}
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("  -"):
+                flag = line.split()[0]
+                entries[flag] = []
+            if entries:
+                entries[flag].append(line)
+        for flag in ("--workers", "--retries", "--timeout",
+                     "--job-concurrency"):
+            entry = " ".join(" ".join(entries[flag]).split())
+            assert "Applies only to kernel-thread jobs (solve, factor, " \
+                "physical distance, detect on more than 1,024 interior " \
+                "pixels)." in entry, flag
+        text = " ".join(" ".join(sum(entries.values(), [])).split())
+        assert "for every job" not in text
+        assert "jobs dispatched concurrently" not in text
+
     @pytest.mark.parametrize("flag, value", [
         ("--workers", "0"), ("--timeout", "-1"), ("--retries", "0")])
     def test_parser_rejects_bad_values(self, flag, value, capsys):
@@ -322,23 +355,25 @@ class TestResilienceFlags:
 
         from repro.core import telemetry
 
-        cache_dir = str(tmp_path / "cache")
-        # seed 1's first base is coprime to 15, so order finding (the
-        # per-attempt path) actually runs instead of a gcd shortcut
-        registry = telemetry.MetricsRegistry()
-        with telemetry.use_registry(registry):
-            code, text = run_cli(["factor", "15", "--seed", "1",
-                                  "--retries", "2",
-                                  "--cache-dir", cache_dir])
-        assert code == 0
-        assert "15 = " in text
-        kinds = [json.load(open(os.path.join(cache_dir, name)))
-                 ["fingerprint"]["kind"] for name in os.listdir(cache_dir)]
-        assert kinds.count("shor-factor") == 1
-        attempts = registry.counter(
-            "quantum.shor.order_finding_attempts").value
-        assert kinds.count("shor-order-chunk") == attempts
-        assert 0 < attempts < 10  # max_attempts
+        for leg, extra in enumerate(WORKER_LEGS):
+            cache_dir = str(tmp_path / ("cache%d" % leg))
+            # seed 1's first base is coprime to 15, so order finding (the
+            # per-attempt path) actually runs instead of a gcd shortcut
+            registry = telemetry.MetricsRegistry()
+            with telemetry.use_registry(registry):
+                code, text = run_cli(["factor", "15", "--seed", "1",
+                                      "--retries", "2",
+                                      "--cache-dir", cache_dir] + extra)
+            assert code == 0
+            assert "15 = " in text
+            kinds = [json.load(open(os.path.join(cache_dir, name)))
+                     ["fingerprint"]["kind"]
+                     for name in os.listdir(cache_dir)]
+            assert kinds.count("shor-factor") == 1
+            attempts = registry.counter(
+                "quantum.shor.order_finding_attempts").value
+            assert kinds.count("shor-order-chunk") == attempts
+            assert 0 < attempts < 10  # max_attempts
 
 
 class TestFlagValidation:
@@ -411,25 +446,18 @@ class TestCacheFlags:
         assert code == 0
         assert warm == cold
 
-    def test_no_cache_wins_over_cache_dir(self, instance_path, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        code, text = run_cli(["solve", instance_path,
-                              "--cache-dir", cache_dir, "--no-cache"])
-        assert code == 0
-        assert "s SATISFIABLE" in text
-        assert not self._cache_files(cache_dir)
-
     def test_factor_cache_dir_warm_run_identical(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        argv = ["factor", "15", "--seed", "1", "--retries", "2",
-                "--cache-dir", cache_dir]
-        code, cold = run_cli(argv)
-        assert code == 0
-        assert "15 = " in cold
-        assert self._cache_files(cache_dir)
-        code, warm = run_cli(argv)
-        assert code == 0
-        assert warm == cold
+        for leg, extra in enumerate(WORKER_LEGS):
+            cache_dir = str(tmp_path / ("cache%d" % leg))
+            argv = ["factor", "15", "--seed", "1", "--retries", "2",
+                    "--cache-dir", cache_dir] + extra
+            code, cold = run_cli(argv)
+            assert code == 0
+            assert "15 = " in cold
+            assert self._cache_files(cache_dir)
+            code, warm = run_cli(argv)
+            assert code == 0
+            assert warm == cold
 
     def test_distance_cache_dir_with_checkpoint_resume(self, tmp_path,
                                                        fault_plan):
@@ -511,32 +539,33 @@ class TestCacheFlags:
         import json
         import os
 
+        from repro.core import cache as result_cache
         from repro.core.exceptions import CacheError
 
-        cache_dir = str(tmp_path / "cache")
-        code, _text = run_cli(["distance", "120", "40", "10", "200",
-                               "--cache-dir", cache_dir])
-        assert code == 0
-        # forge a different workload fingerprint into every entry
-        for name in self._cache_files(cache_dir):
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(cache_dir, name)
-            document = json.load(open(path))
-            document["fingerprint"]["meta"]["forged"] = True
-            with open(path, "w") as handle:
-                json.dump(document, handle)
-        # drop the in-process memory tier so the next run reads disk,
-        # as a fresh process would
-        from repro.core import cache as result_cache
-
-        result_cache.cache_for_dir(cache_dir).clear_memory()
-        with pytest.raises(CacheError) as excinfo:
-            run_cli(["distance", "120", "40", "10", "200",
-                     "--cache-dir", cache_dir])
-        message = str(excinfo.value)
-        assert cache_dir in message
-        assert "refusing" in message and "forged" in message
+        # a whole-call entry, then (--workers 2) a chunk entry
+        for leg, extra in enumerate(WORKER_LEGS):
+            cache_dir = str(tmp_path / ("cache%d" % leg))
+            argv = ["distance", "120", "40", "10", "200",
+                    "--cache-dir", cache_dir] + extra
+            code, _text = run_cli(argv)
+            assert code == 0
+            # forge a different workload fingerprint into every entry
+            for name in self._cache_files(cache_dir):
+                if not name.endswith(".json"):
+                    continue
+                path = os.path.join(cache_dir, name)
+                document = json.load(open(path))
+                document["fingerprint"]["meta"]["forged"] = True
+                with open(path, "w") as handle:
+                    json.dump(document, handle)
+            # drop the in-process memory tier so the next run reads
+            # disk, as a fresh process would
+            result_cache.cache_for_dir(cache_dir).clear_memory()
+            with pytest.raises(CacheError) as excinfo:
+                run_cli(argv)
+            message = str(excinfo.value)
+            assert cache_dir in message
+            assert "refusing" in message and "forged" in message
 
 
 class TestReproduce:
@@ -561,27 +590,29 @@ class TestProfile:
         from repro.core.tracing import read_chrome_trace
 
         out = self.trace_path(tmp_path)
-        code, text = run_cli(["profile", "--out", out, "factor", "15",
-                              "--seed", "1"])
-        assert code == 0
-        assert "performance profile: factor 15 --seed 1" in text
-        assert "chrome trace:" in text and "perfetto" in text.lower()
-        events = read_chrome_trace(out)
-        assert events, "trace file has no events"
-        assert {e["ph"] for e in events} <= {"X", "i", "M"}
-        spans = [e for e in events if e["ph"] == "X"]
-        assert all("pid" in e and "tid" in e for e in spans)
-        timestamps = [e["ts"] for e in events if e["ph"] != "M"]
-        assert timestamps == sorted(timestamps)
+        for extra in WORKER_LEGS:
+            command = ["factor", "15", "--seed", "1"] + extra
+            code, text = run_cli(["profile", "--out", out] + command)
+            assert code == 0
+            assert "performance profile: %s" % " ".join(command) in text
+            assert "chrome trace:" in text and "perfetto" in text.lower()
+            events = read_chrome_trace(out)
+            assert events, "trace file has no events"
+            assert {e["ph"] for e in events} <= {"X", "i", "M"}
+            spans = [e for e in events if e["ph"] == "X"]
+            assert all("pid" in e and "tid" in e for e in spans)
+            timestamps = [e["ts"] for e in events if e["ph"] != "M"]
+            assert timestamps == sorted(timestamps)
 
     def test_profile_solve_reports_self_and_cum(self, instance_path,
                                                 tmp_path):
         out = self.trace_path(tmp_path)
-        code, text = run_cli(["profile", "--out", out, "solve",
-                              instance_path])
-        assert code == 0
-        assert "self%" in text and "cum%" in text
-        assert "dmm." in text
+        for extra in WORKER_LEGS:
+            code, text = run_cli(["profile", "--out", out, "solve",
+                                  instance_path] + extra)
+            assert code == 0
+            assert "self%" in text and "cum%" in text
+            assert "dmm." in text
 
     def test_profile_cum_sort_and_top(self, instance_path, tmp_path):
         out = self.trace_path(tmp_path)
@@ -600,8 +631,7 @@ class TestProfile:
 
         out = self.trace_path(tmp_path)
         cache_dir = str(tmp_path / "cache")
-        # --workers 1: the inline path's one whole-call lookup, whatever
-        # REPRO_WORKERS says
+        # the inline path's one whole-call lookup
         argv = ["profile", "--out", out, "distance", "10", "20", "30", "45",
                 "--workers", "1", "--cache-dir", cache_dir]
         code, cold = run_cli(argv)
@@ -673,16 +703,18 @@ class TestProfile:
 
     def test_profile_with_metrics_prints_summary(self, instance_path,
                                                  tmp_path):
-        code, text = run_cli(["profile", "--out",
-                              self.trace_path(tmp_path), "solve",
-                              instance_path, "--metrics"])
-        assert code == 0
-        assert "dmm.solver.steps_per_s" in text
+        for extra in WORKER_LEGS:
+            code, text = run_cli(["profile", "--out",
+                                  self.trace_path(tmp_path), "solve",
+                                  instance_path, "--metrics"] + extra)
+            assert code == 0
+            assert "dmm.solver.steps_per_s" in text
 
     def test_telemetry_restored_after_profile(self, instance_path,
                                               tmp_path):
         from repro.core import telemetry
 
-        run_cli(["profile", "--out", self.trace_path(tmp_path), "solve",
-                 instance_path])
-        assert telemetry.get_registry() is telemetry.NULL_REGISTRY
+        for extra in WORKER_LEGS:
+            run_cli(["profile", "--out", self.trace_path(tmp_path),
+                     "solve", instance_path] + extra)
+            assert telemetry.get_registry() is telemetry.NULL_REGISTRY

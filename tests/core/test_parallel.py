@@ -30,7 +30,6 @@ from repro.core.parallel import (
     DEFAULT_CHUNKS,
     ParallelMap,
     TaskFailure,
-    WORKERS_ENV,
     chunk_list,
     chunk_sizes,
     default_chunk_size,
@@ -127,20 +126,14 @@ class TestResolveWorkers:
     def test_explicit_value(self):
         assert resolve_workers(3) == 3
 
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    def test_default_is_serial(self):
         assert resolve_workers(None) == 1
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "4")
-        assert resolve_workers(None) == 4
-
-    def test_bad_values_rejected(self, monkeypatch):
+    def test_bad_values_rejected(self):
         with pytest.raises(ParallelError):
             resolve_workers(0)
-        monkeypatch.setenv(WORKERS_ENV, "not-a-number")
         with pytest.raises(ParallelError):
-            resolve_workers(None)
+            resolve_workers("not-a-number")
 
 
 # -- engine mechanics ------------------------------------------------------
@@ -587,21 +580,17 @@ class TestAutoWorkers:
     def teardown_method(self):
         shutdown_pools()
 
-    def test_resolve_passes_auto_through(self, monkeypatch):
+    def test_resolve_passes_auto_through(self):
         assert resolve_workers("auto") == AUTO
         assert resolve_workers(" AUTO ") == AUTO
-        monkeypatch.setenv(WORKERS_ENV, "auto")
-        assert resolve_workers(None) == AUTO
 
-    def test_wants_fanout(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    def test_wants_fanout(self):
         assert wants_fanout("auto")
         assert wants_fanout(2)
         assert not wants_fanout(1)
         assert not wants_fanout(None)
 
-    def test_is_chunked(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
+    def test_is_chunked(self):
         assert not is_chunked()
         assert not is_chunked(workers=1)
         assert is_chunked(workers="auto")
@@ -610,8 +599,6 @@ class TestAutoWorkers:
         assert is_chunked(timeout=5.0)
         # any retry budget, even one attempt, takes the chunked path
         assert is_chunked(retry=1)
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        assert is_chunked()
 
     def test_small_workload_chooses_serial(self, monkeypatch):
         # one chunk gains nothing from a pool, even on a big machine

@@ -30,7 +30,6 @@ from repro.core.exceptions import (
 )
 from repro.core.parallel import ParallelMap, TaskFailure
 from repro.core.resilience import (
-    FAULTS_ENV,
     FaultPlan,
     active_fault_plan,
     nan_corrupt,
@@ -116,20 +115,16 @@ class TestFaultPlan:
         with pytest.raises(ResilienceError, match="integers"):
             FaultPlan.from_spec("a:b:raise")
 
-    def test_env_var_enables_plan(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "1:1:raise")
-        plan = active_fault_plan()
-        assert plan is not None
-        assert plan.action_for(1, 1) == "raise"
-
     def test_programmatic_plan_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "1:1:raise")
+        # The environment never installs a plan: only use_faults does,
+        # and leaving its scope restores no plan at all.
+        monkeypatch.setenv("REPRO_FAULTS", "1:1:raise")
+        assert active_fault_plan() is None
         with use_faults("0:2:nan") as plan:
             assert active_fault_plan() is plan
-        assert active_fault_plan().action_for(1, 1) == "raise"
+        assert active_fault_plan() is None
 
-    def test_no_plan_by_default(self, monkeypatch):
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
+    def test_no_plan_by_default(self):
         assert active_fault_plan() is None
 
     def test_fixture_installs_and_clears(self, fault_plan):

@@ -84,9 +84,7 @@ def _refuse(*_args, **_kwargs):
 
 @pytest.fixture
 def hashing_forbidden(monkeypatch):
-    """No active cache, and every fingerprint helper raises."""
-    monkeypatch.delenv(result_cache.CACHE_DIR_ENV, raising=False)
-    monkeypatch.setattr(result_cache, "_active_cache", None)
+    """Every fingerprint helper raises."""
     for name in ("digest", "array_fingerprint", "formula_fingerprint"):
         monkeypatch.setattr(result_cache, name, _refuse)
     monkeypatch.setattr(runtime_module, "circuit_fingerprint", _refuse)

@@ -51,12 +51,15 @@ class TestBatchedRhs:
 
 
 class TestSolveEnsemble:
+    # workers=None runs inline on one stream; workers=2 runs chunked on
+    # a two-worker pool, with other streams.
     def test_all_trajectories_solve_planted(self):
         formula = planted_ksat(30, 120, rng=6)
-        result = solve_ensemble(formula, batch=16, max_steps=60_000,
-                                rng=7)
-        assert result.solved_fraction == 1.0
-        assert np.all(np.isfinite(result.solve_steps))
+        for workers in (None, 2):
+            result = solve_ensemble(formula, batch=16, max_steps=60_000,
+                                    rng=7, workers=workers)
+            assert result.solved_fraction == 1.0
+            assert np.all(np.isfinite(result.solve_steps))
 
     def test_quantiles_ordered(self):
         formula = planted_ksat(40, 168, rng=8)
@@ -66,15 +69,20 @@ class TestSolveEnsemble:
 
     def test_unsatisfiable_never_solves(self):
         formula = CnfFormula([Clause([1]), Clause([-1])])
-        result = solve_ensemble(formula, batch=8, max_steps=2_000, rng=0)
-        assert result.solved_fraction == 0.0
-        assert result.quantile(0.5) == float("inf")
+        for workers in (None, 2):
+            result = solve_ensemble(formula, batch=8, max_steps=2_000,
+                                    rng=0, workers=workers)
+            assert result.solved_fraction == 0.0
+            assert result.quantile(0.5) == float("inf")
 
     def test_deterministic_given_seed(self):
         formula = planted_ksat(20, 80, rng=10)
-        a = solve_ensemble(formula, batch=8, max_steps=20_000, rng=11)
-        b = solve_ensemble(formula, batch=8, max_steps=20_000, rng=11)
-        assert np.array_equal(a.solve_steps, b.solve_steps)
+        for workers in (None, 2):
+            a = solve_ensemble(formula, batch=8, max_steps=20_000, rng=11,
+                               workers=workers)
+            b = solve_ensemble(formula, batch=8, max_steps=20_000, rng=11,
+                               workers=workers)
+            assert np.array_equal(a.solve_steps, b.solve_steps)
 
     def test_quantile_inf_when_under_solved(self):
         result = EnsembleResult([100.0, np.inf, np.inf, np.inf], 1_000)

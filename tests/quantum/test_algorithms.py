@@ -102,25 +102,30 @@ class TestShor:
 
     def test_chunked_order_finding_replays_its_attempts(self, tmp_path):
         """Only the attempts up to the first usable reading run and are
-        stored; a re-run replays them and stops at the same reading."""
+        stored; a re-run replays them and stops at the same reading,
+        serially and in waves on a two-worker pool."""
         from repro.core import telemetry
         from repro.core.cache import ResultCache
 
-        counts = []
-        for _ in range(2):
-            registry = telemetry.MetricsRegistry()
-            with telemetry.use_registry(registry):
-                order = find_order(11, 15, rng=3, retry=2,
-                                   cache=ResultCache(str(tmp_path)))
-            counts.append((order, registry.counter("cache.stores").value,
-                           registry.counter("cache.hits").value,
-                           registry.counter("parallel.tasks").value))
-        cold, warm = counts
-        assert cold[0] == warm[0] == 2
-        attempts = cold[1]
-        assert 0 < attempts < 10
-        assert cold[3] == attempts
-        assert warm[1:] == (0, attempts, 0)
+        for workers in (None, 2):
+            cache_dir = str(tmp_path / str(workers))
+            counts = []
+            for _ in range(2):
+                registry = telemetry.MetricsRegistry()
+                with telemetry.use_registry(registry):
+                    order = find_order(11, 15, rng=3, retry=2,
+                                       workers=workers,
+                                       cache=ResultCache(cache_dir))
+                counts.append((order,
+                               registry.counter("cache.stores").value,
+                               registry.counter("cache.hits").value,
+                               registry.counter("parallel.tasks").value))
+            cold, warm = counts
+            assert cold[0] == warm[0] == 2
+            attempts = cold[1]
+            assert 0 < attempts < 10
+            assert cold[3] == attempts
+            assert warm[1:] == (0, attempts, 0)
 
     def test_order_circuit_dimensions(self):
         circuit, t, n = order_finding_circuit(7, 15)
@@ -134,9 +139,11 @@ class TestShor:
         assert sorted(result.factors) == [3, 5]
 
     def test_factor_21(self):
-        result = shor_factor(21, rng=1)
-        assert result.succeeded
-        assert sorted(result.factors) == [3, 7]
+        # workers=2: chunked order finding on a two-worker pool
+        for workers in (None, 2):
+            result = shor_factor(21, rng=1, workers=workers)
+            assert result.succeeded
+            assert sorted(result.factors) == [3, 7]
 
     def test_even_shortcut(self):
         result = shor_factor(14, rng=0)

@@ -197,6 +197,11 @@ class TestErrors:
                     app.port, "POST", "/v1/jobs",
                     {"kind": "factor", "params": {"n": 2}})
                 assert status == 400 and "must be in [4," in doc["error"]
+                # above the cap, order finding would not finish in time
+                status, _, doc = await _request(
+                    app.port, "POST", "/v1/jobs",
+                    {"kind": "factor", "params": {"n": 65}})
+                assert status == 400 and "[4, 64]" in doc["error"]
                 status, _, doc = await _request(
                     app.port, "POST", "/v1/jobs", {"kind": "nope"})
                 assert status == 400

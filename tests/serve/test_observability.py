@@ -178,6 +178,10 @@ class TestLabeledServeMetrics:
         assert snapshot["serve.requests"]["value"] == 2
         assert snapshot["serve.requests.distance"]["value"] == 2
         assert snapshot["serve.latency.distance"]["count"] == 2
+        # a distance job run at submission goes through measure_pairs,
+        # so the kernel's throughput series see its pairs
+        assert snapshot["oscillator.distance.pairs_units"]["value"] == 2
+        assert snapshot["oscillator.distance.pairs_per_s"]["count"] == 2
         assert not [name for name in snapshot if "{" in name]
         for entry in snapshot.values():
             if entry["kind"] == "histogram":

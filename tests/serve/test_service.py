@@ -66,6 +66,11 @@ class TestValidation:
             validate_request("factor", {"n": "15"})
         with pytest.raises(JobValidationError, match=r"\[4,"):
             validate_request("factor", {"n": 2})
+        # Order finding for n needs 3 * bit_length(n - 1) qubits: 18 for
+        # every n up to 64, 21 at n = 65 (an attempt then takes seconds).
+        assert validate_request("factor", {"n": 64}) == {"n": 64, "seed": 0}
+        with pytest.raises(JobValidationError, match=r"\[4, 64\]"):
+            validate_request("factor", {"n": 65})
 
     def test_distance_pairs_canonicalized(self):
         params = validate_request("distance", {"pairs": [[1, 2], (3, 4)]})
