@@ -17,8 +17,19 @@ models the paper presents:
   analog vector-matrix multiplication (refs [1], [21], [22]).
 
 Shared numerical substrate lives in :mod:`repro.core`.
+
+The subpackages load on first access (``repro.quantum``), not with
+``import repro``, so a process pays only for the paradigms it uses.
 """
+
+import importlib
 
 __version__ = "1.0.0"
 
 __all__ = ["core", "quantum", "oscillators", "memcomputing", "inmemory"]
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -25,7 +25,7 @@ the host-side scheduler for those bags:
   a cached chunk skips dispatch and replays bit-identically, so a
   killed run re-run against the same cache directory resumes),
 * :class:`WorkerPool` -- the persistent worker processes behind
-  :class:`ParallelMap`: spawned once per (start method), reused across
+  :class:`ParallelMap`: spawned once per process, reused across
   consecutive ``map()`` calls so the fork/import cost is amortized over
   a whole sweep instead of paid per call, grown on demand, respawned
   individually after a crash or timeout kill, and shut down at
@@ -33,10 +33,8 @@ the host-side scheduler for those bags:
 * :class:`TaskFailure` -- the ordered-result placeholder for a chunk
   that raised, timed out, failed validation, or whose worker died.
 
-Large ndarrays inside chunk payloads ride in POSIX shared memory
-(:mod:`repro.core.shm`) instead of pickling through the dispatch queue;
-the worker copies the array out of the segment, so the semantics are
-exactly those of pickling at a fraction of the cost.
+Every chunk payload, arrays included, pickles through its worker's
+dispatch queue.
 
 ``workers="auto"`` (accepted everywhere a worker count is: the
 ``workers=`` arguments and the CLI's ``--workers``) sizes the pool from
@@ -93,9 +91,8 @@ A :class:`WorkerPool` serializes its rounds with a lock, so concurrent
 ``map()`` calls from multiple threads (the ``repro serve`` dispatcher)
 queue up instead of interleaving dispatches and stealing each other's
 results.  ``shutdown()`` during an active round aborts that round
-cleanly: pending chunks come back as ``TaskFailure(reason="crashed")``,
-in-flight shared-memory segments are released, and no workers are
-respawned into the closed pool.
+cleanly: pending chunks come back as ``TaskFailure(reason="crashed")``
+and no workers are respawned into the closed pool.
 """
 
 import atexit
@@ -107,7 +104,7 @@ import threading
 import time
 
 from . import cache as result_cache
-from . import resilience, shm, telemetry, tracing
+from . import resilience, telemetry, tracing
 from .exceptions import ParallelError
 from .rngs import spawn_rngs
 from .tracing import ListSink
@@ -289,7 +286,6 @@ def _pool_worker_main(in_queue, out_queue):
         start = time.perf_counter()
         sink = None
         try:
-            task = shm.resolve_payload(task)
             if instrument:
                 registry = telemetry.MetricsRegistry()
                 sink = registry.add_sink(ListSink())
@@ -320,23 +316,20 @@ def _pool_worker_main(in_queue, out_queue):
 class _PoolWorker:
     """One pool slot: a process, its private dispatch queue, task state."""
 
-    __slots__ = ("process", "in_queue", "busy_index", "deadline",
-                 "segments")
+    __slots__ = ("process", "in_queue", "busy_index", "deadline")
 
     def __init__(self, process, in_queue):
         self.process = process
         self.in_queue = in_queue
         self.busy_index = None
         self.deadline = None
-        self.segments = []
 
     @property
     def idle(self):
         return self.busy_index is None
 
     def release(self):
-        """Drop shared-memory segments of the finished/abandoned chunk."""
-        shm.release_segments(self.segments)
+        """Mark the slot free once its chunk has an outcome."""
         self.busy_index = None
         self.deadline = None
 
@@ -344,20 +337,20 @@ class _PoolWorker:
 class WorkerPool:
     """Persistent worker processes shared by consecutive ``map()`` calls.
 
-    One pool exists per multiprocessing start method
-    (:func:`_get_pool`); it grows to the largest worker count any map
-    has asked for and never shrinks -- idle workers block on their
-    dispatch queues and cost nothing.  A worker that dies (crash, kill
-    fault) or is terminated (timeout/hang recovery) is respawned in
-    place, so one bad chunk never degrades the pool for the rest of a
-    sweep.  Because every chunk payload carries everything the chunk
+    One pool exists per process (:func:`_get_pool`); it grows to the
+    largest worker count any map has asked for and never shrinks --
+    idle workers block on their dispatch queues and cost nothing.  A
+    worker that dies (crash, kill fault) or is terminated (timeout/hang
+    recovery) is respawned in place, so one bad chunk never degrades
+    the pool for the rest of a sweep.  Because every chunk payload carries everything the chunk
     needs (function, data, its own spawned RNG), *which* worker slot
     runs it can never change the result.
 
     Telemetry: ``parallel.pool.spawns`` counts worker processes started
     (first use and growth), ``parallel.pool.reuses`` counts rounds
     served by already-running workers, ``parallel.pool.restarts``
-    counts in-place respawns after a kill or crash.
+    counts in-place respawns after a kill, crash or timeout, or of a
+    slot found dead or busy when a round starts.
     """
 
     def __init__(self, context):
@@ -369,15 +362,18 @@ class WorkerPool:
         self._closing = False
         # Serializes rounds: concurrent map() threads take turns on the
         # pool instead of dispatching into the same slots and draining
-        # each other's results (which deadlocked and leaked the loser's
-        # in-flight shared-memory segments).
+        # each other's results (which deadlocked).
         self._round_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
     def _spawn_slot(self):
-        shm.share_tracker()
         in_queue = self.context.Queue()
+        # A payload larger than the pipe buffer waits in the queue's
+        # feeder thread until the worker reads it.  If the worker dies
+        # first, a joined feeder would block interpreter exit forever,
+        # so the queue is dropped, not flushed, when the slot goes.
+        in_queue.cancel_join_thread()
         process = self.context.Process(
             target=_pool_worker_main, args=(in_queue, self.out_queue),
             daemon=True)
@@ -385,12 +381,13 @@ class WorkerPool:
         telemetry.get_registry().counter("parallel.pool.spawns").inc()
         return _PoolWorker(process, in_queue)
 
-    def ensure_workers(self, count):
-        """Grow to ``count`` live workers; respawn any that died idle."""
+    def ensure_workers(self, count, registry):
+        """Grow to ``count`` live workers.  A slot whose worker died, or
+        that still holds a chunk of a round the parent abandoned on an
+        exception, is respawned first."""
         for slot, worker in enumerate(self.workers):
-            if not worker.process.is_alive():
-                worker.release()
-                self.workers[slot] = self._spawn_slot()
+            if not (worker.idle and worker.process.is_alive()):
+                self._restart_slot(slot, registry)
         while len(self.workers) < count:
             self.workers.append(self._spawn_slot())
 
@@ -399,7 +396,7 @@ class WorkerPool:
         if worker.process.is_alive():
             worker.process.terminate()
         worker.process.join(timeout=1.0)
-        worker.release()
+        worker.in_queue.close()
         self.workers[slot] = self._spawn_slot()
         if registry.enabled:
             registry.counter("parallel.pool.restarts").inc()
@@ -411,10 +408,10 @@ class WorkerPool:
 
         Safe to call while another thread is mid-round: the flag makes
         the active round abort cleanly (its remaining chunks come back
-        as ``TaskFailure(reason="crashed")`` and its segments are
-        released), then the teardown below runs once the round lock is
-        free -- workers are never respawned into a closed pool and the
-        queues are only closed with no round in flight.
+        as ``TaskFailure(reason="crashed")``), then the teardown below
+        runs once the round lock is free -- workers are never respawned
+        into a closed pool and the queues are only closed with no round
+        in flight.
         """
         if self._closed:
             return
@@ -433,7 +430,6 @@ class WorkerPool:
                 if worker.process.is_alive():
                     worker.process.terminate()
                     worker.process.join(timeout=1.0)
-                worker.release()
                 worker.in_queue.close()
             self.workers = []
             self.out_queue.close()
@@ -462,22 +458,9 @@ class WorkerPool:
             return self._run_round_locked(fn, pairs, workers, timeout,
                                           registry, attempt, plan)
 
-    def _abort_round(self, active, pending, outcomes):
-        """Shutdown arrived mid-round: fail what's left, reclaim segments."""
-        message = "worker pool shut down mid-round"
-        for worker in active:
-            if not worker.idle:
-                outcomes.setdefault(
-                    worker.busy_index,
-                    TaskFailure(worker.busy_index, "crashed", message))
-                worker.release()
-        for index, _task in pending:
-            outcomes.setdefault(index,
-                                TaskFailure(index, "crashed", message))
-
     def _run_round_locked(self, fn, pairs, workers, timeout, registry,
                           attempt, plan):
-        self.ensure_workers(workers)
+        self.ensure_workers(workers, registry)
         instrument = registry.enabled
         trace = tracing.current_trace_id()
         self._job_counter += 1
@@ -488,70 +471,56 @@ class WorkerPool:
         total = len(pending)
         active = self.workers[:workers]
 
-        try:
-            while len(outcomes) < total:
-                if self._closing:
-                    self._abort_round(active, pending, outcomes)
-                    break
-                for worker in active:
-                    if worker.idle and pending:
-                        index, task = pending.pop(0)
-                        payload = shm.share_payload(task, worker.segments)
-                        worker.in_queue.put(
-                            (job, fn, payload, index, attempt, plan,
-                             instrument, trace))
-                        worker.busy_index = index
-                        worker.deadline = None if timeout is None \
-                            else time.monotonic() + timeout
-
-                self._drain(job, outcomes)
-                now = time.monotonic()
-
-                for slot, worker in enumerate(active):
-                    if worker.idle:
-                        continue
-                    index = worker.busy_index
-                    if index in outcomes:
-                        worker.release()
-                    elif worker.deadline is not None \
-                            and now > worker.deadline:
-                        outcomes[index] = TaskFailure(
-                            index, "timeout",
-                            "exceeded %.3gs" % timeout)
-                        self._restart_slot(slot, registry)
-                        active[slot] = self.workers[slot]
-                    elif not worker.process.is_alive():
-                        # Exited without a visible result: give the
-                        # queue feeder a moment before declaring a
-                        # crash, then respawn the slot either way.
-                        draining[index] = (now + _DRAIN_GRACE_S,
-                                           worker.process.exitcode)
-                        self._restart_slot(slot, registry)
-                        active[slot] = self.workers[slot]
-
-                for index in list(draining):
-                    drain_deadline, exitcode = draining[index]
-                    if index in outcomes:
-                        del draining[index]
-                    elif time.monotonic() > drain_deadline:
-                        outcomes[index] = TaskFailure(
-                            index, "crashed",
-                            "worker exited with code %r without a result"
-                            % exitcode)
-                        del draining[index]
-
-        finally:
+        while len(outcomes) < total:
+            if self._closing:
+                # Shutdown arrived mid-round: every chunk still out
+                # comes back crashed.
+                for index, _task in pairs:
+                    outcomes.setdefault(index, TaskFailure(
+                        index, "crashed", "worker pool shut down mid-round"))
+                break
             for worker in active:
-                if not worker.idle:
-                    if self._closing:
-                        # Shutdown in progress: reclaim segments only;
-                        # never respawn into a closing pool.
-                        worker.release()
-                        continue
-                    # Abandoned mid-round (exception in the parent):
-                    # the slot's task is unrecoverable, reset it.
-                    slot = self.workers.index(worker)
+                if worker.idle and pending:
+                    index, task = pending.pop(0)
+                    worker.in_queue.put((job, fn, task, index, attempt,
+                                         plan, instrument, trace))
+                    worker.busy_index = index
+                    worker.deadline = None if timeout is None \
+                        else time.monotonic() + timeout
+
+            self._drain(job, outcomes)
+            now = time.monotonic()
+
+            for slot, worker in enumerate(active):
+                if worker.idle:
+                    continue
+                index = worker.busy_index
+                if index in outcomes:
+                    worker.release()
+                elif worker.deadline is not None and now > worker.deadline:
+                    outcomes[index] = TaskFailure(
+                        index, "timeout", "exceeded %.3gs" % timeout)
                     self._restart_slot(slot, registry)
+                    active[slot] = self.workers[slot]
+                elif not worker.process.is_alive():
+                    # Exited without a visible result: give the queue
+                    # feeder a moment before declaring a crash, then
+                    # respawn the slot either way.
+                    draining[index] = (now + _DRAIN_GRACE_S,
+                                       worker.process.exitcode)
+                    self._restart_slot(slot, registry)
+                    active[slot] = self.workers[slot]
+
+            for index in list(draining):
+                drain_deadline, exitcode = draining[index]
+                if index in outcomes:
+                    del draining[index]
+                elif time.monotonic() > drain_deadline:
+                    outcomes[index] = TaskFailure(
+                        index, "crashed",
+                        "worker exited with code %r without a result"
+                        % exitcode)
+                    del draining[index]
         return outcomes
 
     def _drain(self, job, outcomes):
@@ -585,35 +554,36 @@ class WorkerPool:
                                    payload, elapsed)
 
 
-#: Live pools, one per multiprocessing start method.
-_POOLS = {}
-_POOLS_LOCK = threading.Lock()
+#: The live pool.  One is enough: :func:`_pick_context` returns the
+#: same start method for the whole life of a process.
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 
 def _get_pool(context, registry):
-    """The persistent pool for ``context``'s start method (created once).
+    """The process's persistent pool (created on first use).
 
     Creation is locked so concurrent first maps from multiple threads
     share one pool instead of racing two into existence (the loser's
     workers would leak).
     """
-    key = context.get_start_method()
-    with _POOLS_LOCK:
-        pool = _POOLS.get(key)
-        if pool is not None and not pool.closed:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is not None and not _POOL.closed:
             if registry.enabled:
                 registry.counter("parallel.pool.reuses").inc()
-            return pool
-        pool = WorkerPool(context)
-        _POOLS[key] = pool
-        return pool
+            return _POOL
+        _POOL = WorkerPool(context)
+        return _POOL
 
 
 def shutdown_pools():
-    """Stop every persistent pool (atexit hook; callable from tests)."""
-    for pool in list(_POOLS.values()):
+    """Stop the persistent pool (atexit hook; callable from tests)."""
+    global _POOL
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+    if pool is not None:
         pool.shutdown()
-    _POOLS.clear()
 
 
 atexit.register(shutdown_pools)
@@ -859,7 +829,7 @@ class ParallelMap:
 
     def _run_pool(self, fn, pairs, workers, context, registry, attempt,
                   plan):
-        """One retry round on the persistent pool for this start method."""
+        """One retry round on the persistent pool."""
         pool = _get_pool(context, registry)
         outcomes = pool.run_round(fn, pairs, workers, self.timeout,
                                   registry, attempt, plan)

@@ -50,9 +50,8 @@ def _measure_pairs_chunk(payload):
     Rebuilds the distance unit from its config dict inside the worker
     (the unit binds telemetry instruments at construction, so each
     worker's copy binds to that worker's local registry).  ``pairs``
-    arrives as an ``(n, 2)`` float array -- a shape the engine can ship
-    through shared memory -- and the whole block is scored in one
-    :meth:`OscillatorDistanceUnit.measure_batch` call.
+    arrives as an ``(n, 2)`` float array and the whole block is scored
+    in one :meth:`OscillatorDistanceUnit.measure_batch` call.
     """
     config, pairs = payload
     unit = OscillatorDistanceUnit(**config)

@@ -72,6 +72,10 @@ MAX_DIMACS_CHARS = 200_000
 #: needs 30, a 16 GiB statevector.
 MAX_FACTOR_N = 64
 MAX_PAIRS_PER_REQUEST = 8192
+#: A physical-mode pair integrates the coupled-pair ODE, ~1.3-2.2 s on
+#: a 2-vCPU host: 128 pairs finish in at most ~282 s, inside the longest
+#: wait one request may ask for (300 s, ``app.MAX_WAIT_SECONDS``).
+MAX_PHYSICAL_PAIRS = 128
 MAX_IMAGE_PIXELS = 65_536
 MAX_ATTEMPTS = 64
 MAX_STEPS = 5_000_000
@@ -243,6 +247,9 @@ def _validated(kind, params):
         mode = params.get("mode", "behavioral")
         _require(mode in ("behavioral", "physical"),
                  "'mode' must be 'behavioral' or 'physical'")
+        _require(mode == "behavioral" or len(pairs) <= MAX_PHYSICAL_PAIRS,
+                 "'physical' mode takes at most %d pairs"
+                 % MAX_PHYSICAL_PAIRS)
         return {"pairs": canonical, "mode": mode}
     # detect
     image = params.get("image")

@@ -4,6 +4,8 @@ library options are arguments, never environment variables."""
 import ast
 import importlib
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +18,7 @@ PACKAGES = [
     "repro.oscillators.fast",
     "repro.memcomputing",
     "repro.memcomputing.baselines",
+    "repro.inmemory",
 ]
 
 
@@ -31,6 +34,29 @@ def test_all_names_resolve(package_name):
     for name in getattr(module, "__all__", []):
         assert hasattr(module, name), \
             "%s.__all__ lists missing name %r" % (package_name, name)
+
+
+def test_import_repro_loads_no_paradigm():
+    """``import repro`` alone leaves the paradigm packages unloaded;
+    they load on first attribute access."""
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    script = ("import sys, repro; "
+              "assert 'repro.quantum' not in sys.modules; "
+              "repro.quantum; "
+              "assert 'repro.quantum' in sys.modules")
+    done = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src_dir),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_unknown_attribute_raises():
+    import repro
+
+    with pytest.raises(AttributeError):
+        repro.not_a_subpackage
 
 
 def test_version_string():

@@ -13,6 +13,8 @@ Three layers:
 """
 
 import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import parallel as parallel_module
-from repro.core import shm, telemetry
+from repro.core import telemetry
 from repro.core.exceptions import ParallelError
 from repro.core.parallel import (
     AUTO,
@@ -378,11 +380,10 @@ class TestEarlyStop:
 # -- persistent worker-pool lifecycle --------------------------------------
 
 def _pool():
-    """The single live pool (tests run one start method at a time)."""
-    pools = [pool for pool in parallel_module._POOLS.values()
-             if not pool.closed]
-    assert len(pools) == 1
-    return pools[0]
+    """The process's live pool."""
+    pool = parallel_module._POOL
+    assert pool is not None and not pool.closed
+    return pool
 
 
 class TestWorkerPoolLifecycle:
@@ -428,7 +429,7 @@ class TestWorkerPoolLifecycle:
         processes = [worker.process for worker in pool.workers]
         shutdown_pools()
         assert pool.closed
-        assert parallel_module._POOLS == {}
+        assert parallel_module._POOL is None
         assert all(not process.is_alive() for process in processes)
         # the next map builds a fresh pool transparently
         assert ParallelMap(workers=2).map(_square, [3, 4]) == [9, 16]
@@ -471,23 +472,20 @@ class TestWorkerPoolLifecycle:
         assert all(worker.process.is_alive()
                    for worker in _pool().workers)
 
-    def test_killed_worker_mid_map_leaks_no_segments(self, fault_plan):
-        # Payload arrays above the shm threshold ride in shared memory;
-        # a kill fault mid-chunk must not leave its segments behind.
+    def test_killed_worker_mid_map_retries_array_payloads(self, fault_plan):
+        # Payloads above the 64 KiB pipe buffer: a kill fault mid-chunk
+        # must not lose the re-dispatched array.
         fault_plan([(1, 1, "kill")])
         tasks = [np.full((130, 128), float(i)) for i in range(4)]
-        assert tasks[0].nbytes >= shm.SHARE_THRESHOLD_BYTES
         results = ParallelMap(workers=2).map(_sum_array, tasks, retry=2)
         assert results == [float(i) * 130 * 128 for i in range(4)]
-        assert shm.active_segment_count() == 0
 
-    def test_timed_out_worker_leaks_no_segments(self, fault_plan):
+    def test_timed_out_worker_retries_array_payloads(self, fault_plan):
         fault_plan([(0, 1, "hang")])
         tasks = [np.full((130, 128), float(i)) for i in range(3)]
         results = ParallelMap(workers=2, timeout=1.0).map(
             _sum_array, tasks, retry=2)
         assert results == [float(i) * 130 * 128 for i in range(3)]
-        assert shm.active_segment_count() == 0
 
     def test_concurrent_maps_from_threads_share_pool(self):
         # Two threads mapping at once must take turns on the pool, not
@@ -508,7 +506,6 @@ class TestWorkerPoolLifecycle:
         assert not any(thread.is_alive() for thread in threads)
         assert results["a"] == [1, 4, 9, 16]
         assert results["b"] == [25, 36, 49, 64]
-        assert shm.active_segment_count() == 0
 
     def test_shutdown_mid_round_aborts_cleanly(self):
         # shutdown() while a round is running must fail the round's
@@ -528,47 +525,79 @@ class TestWorkerPoolLifecycle:
         assert results[0].reason == "crashed"
         assert pool.closed
         assert pool.workers == []
-        assert shm.active_segment_count() == 0
         # the next map transparently builds a fresh pool
         assert engine.map(_square, [3, 4]) == [9, 16]
 
+    def test_round_abandoned_by_a_parent_exception_resets_its_slots(
+            self, monkeypatch):
+        # An exception in the parent mid-round leaves a worker on a
+        # chunk nobody collects; the next round must not wait on it.
+        engine = ParallelMap(workers=2)
+        assert engine.map(_square, [1, 2]) == [1, 4]
 
-#: A pool run whose pairs ride in shared memory, in a new interpreter;
-#: argv[1] == "started" starts the resource tracker before the pool.
-_SHARED_RUN_SCRIPT = """
-import sys
+        def broken_drain(_job, _outcomes):
+            raise RuntimeError("parent failed mid-round")
+
+        monkeypatch.setattr(_pool(), "_drain", broken_drain)
+        with pytest.raises(RuntimeError):
+            engine.map(_sleep_on_zero, [0, 1])
+        monkeypatch.undo()
+        results = []
+        runner = threading.Thread(
+            target=lambda: results.append(engine.map(_square, [3, 4])))
+        runner.start()
+        runner.join(timeout=20.0)
+        assert not runner.is_alive()
+        assert results == [[9, 16]]
+
+
+def _run_script(script, timeout):
+    """Run ``script`` in a new interpreter with ``repro`` importable."""
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+#: Array payloads well above the 64 KiB pipe buffer, pickled through
+#: the dispatch queues of a two-worker pool.
+_CLEAN_RUN_SCRIPT = """
 import numpy as np
-from multiprocessing import shared_memory
 from repro.oscillators.distance import OscillatorDistanceUnit
-if sys.argv[1] == "started":
-    segment = shared_memory.SharedMemory(create=True, size=64)
-    segment.close()
-    segment.unlink()
 pairs = np.random.default_rng(0).uniform(0.0, 255.0, size=(200000, 2))
 OscillatorDistanceUnit().measure_pairs(pairs, workers=2, cache=False)
 """
 
+#: A 2 MiB array put on the queue of a killed idle worker never leaves
+#: the parent's queue feeder; restarting the slot must still let the
+#: interpreter exit.
+_DEAD_QUEUE_SCRIPT = """
+import numpy as np
+from repro.core import parallel, telemetry
+registry = telemetry.get_registry()
+assert parallel.ParallelMap(workers=2).map(abs, [1, -2]) == [1, 2]
+pool = parallel._get_pool(parallel._pick_context(), registry)
+victim = pool.workers[0]
+victim.process.kill()
+victim.process.join()
+victim.in_queue.put(np.zeros(2 ** 18))
+pool._restart_slot(0, registry)
+"""
 
-class TestSharedMemoryTracker:
-    """A clean pool run leaves the resource tracker nothing to clean up:
-    at exit no tracker warns of leaked segments, whether or not the
-    parent's tracker ran before the workers started."""
 
-    @pytest.mark.parametrize("tracker", ["fresh", "started"])
-    def test_clean_pool_run_reports_no_leak(self, tracker):
-        import subprocess
-        import sys
+class TestInterpreterExit:
+    """A process that used the pool exits cleanly and promptly."""
 
-        import repro
-
-        src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONPATH=src_dir)
-        done = subprocess.run(
-            [sys.executable, "-c", _SHARED_RUN_SCRIPT, tracker], env=env,
-            capture_output=True, text=True, timeout=120)
+    def test_clean_pool_run_exits_cleanly(self):
+        done = _run_script(_CLEAN_RUN_SCRIPT, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert "leaked shared_memory" not in done.stderr
         assert "Traceback" not in done.stderr
+
+    def test_exit_after_restarting_a_slot_with_a_queued_payload(self):
+        done = _run_script(_DEAD_QUEUE_SCRIPT, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestAutoWorkers:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import cache as cache_module
 from repro.core import parallel as parallel_module
-from repro.core import resilience, shm, telemetry
+from repro.core import resilience, telemetry
 from repro.core.exceptions import ParallelError
 from repro.core.parallel import ParallelMap
 from repro.core.rngs import spawn_rngs
@@ -58,13 +58,6 @@ def _inline(fn, tasks):
 
 def _pooled(fn, tasks, workers=2):
     return ParallelMap(workers=workers, timeout=POOL_TIMEOUT_S).map(fn, tasks)
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_segments():
-    yield
-    assert shm.active_segment_count() == 0, \
-        "test leaked shared-memory segments"
 
 
 @pytest.fixture

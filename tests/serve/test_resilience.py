@@ -1,16 +1,14 @@
 """Service survival under worker faults: the killed-worker criterion.
 
 A worker killed mid-job must leave the service serving: the pool
-respawns the slot, the retry budget re-runs the lost chunk, the job
-completes with the unfaulted result, and no shared-memory segment
-leaks (the PR 8 accounting in :mod:`repro.core.shm`).
+respawns the slot, the retry budget re-runs the lost chunk, and the job
+completes with the unfaulted result.
 """
 
 import asyncio
 
 import numpy as np
 
-from repro.core import shm
 from repro.core.parallel import shutdown_pools
 from repro.oscillators.fast.oscillator_fast import OscillatorFastDetector
 from repro.serve import JobService, ServeConfig
@@ -18,8 +16,8 @@ from repro.serve.jobs import DONE
 
 
 def _large_image():
-    """256x256 float64 == 512KB: well past the shm share threshold, so
-    every chunk of the detect fan-out rides a shared-memory segment."""
+    """256x256 float64 == 512KB: every chunk of the detect fan-out
+    ships an image well past the 64 KiB pipe buffer."""
     rng = np.random.default_rng(11)
     return rng.uniform(0.0, 255.0, size=(256, 256))
 
@@ -28,7 +26,7 @@ class TestKilledWorker:
     def teardown_method(self):
         shutdown_pools()
 
-    def test_killed_worker_mid_job_retried_without_leaks(self, fault_plan):
+    def test_killed_worker_mid_job_is_retried(self, fault_plan):
         image = _large_image()
         reference = OscillatorFastDetector(threshold=30.0).detect(image)
         fault_plan([(1, 1, "kill")])
@@ -53,9 +51,8 @@ class TestKilledWorker:
                 await service.close()
 
         asyncio.run(body())
-        assert shm.active_segment_count() == 0
 
-    def test_clean_jobs_leak_no_segments(self):
+    def test_clean_large_detect_job_completes(self):
         image = _large_image()
 
         async def body():
@@ -71,4 +68,3 @@ class TestKilledWorker:
                 await service.close()
 
         asyncio.run(body())
-        assert shm.active_segment_count() == 0

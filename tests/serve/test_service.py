@@ -82,6 +82,21 @@ class TestValidation:
             validate_request("distance", {"pairs": [[1, 2]],
                                           "mode": "spooky"})
 
+    def test_physical_pairs_capped_below_the_behavioral_cap(self):
+        # A physical pair is an ODE integration of seconds: 128 of them
+        # fit in the longest wait a request may ask for; 8,192 do not.
+        physical = [[float(i % 256), 7.0] for i in range(128)]
+        params = validate_request("distance", {"pairs": physical,
+                                               "mode": "physical"})
+        assert len(params["pairs"]) == 128
+        with pytest.raises(JobValidationError, match="at most 128 pairs"):
+            validate_request("distance", {"pairs": physical + [[1.0, 2.0]],
+                                          "mode": "physical"})
+        behavioral = [[float(i % 256), 7.0] for i in range(8192)]
+        params = validate_request("distance", {"pairs": behavioral})
+        assert len(params["pairs"]) == 8192
+        assert params["mode"] == "behavioral"
+
     def test_detect_image_shape(self):
         with pytest.raises(JobValidationError, match="same length"):
             validate_request("detect", {"image": [[1.0, 2.0], [3.0]]})
